@@ -419,6 +419,7 @@ impl Engine {
         let (gap, kind) = engine.scenario.next_arrival();
         engine.next_arrival = (SimTime::ZERO + gap, kind);
         if engine.sched_event {
+            engine.register_standing_wakes();
             engine.rebuild_wakes();
         }
         engine
@@ -497,25 +498,33 @@ impl Engine {
         self.wakes.register(WAKE_SAMPLER, (boundary - 1) / q);
     }
 
-    /// (Re-)registers every wake-up derivable from current state: the
-    /// standing pair, the static fault-window edges, and each blocked
-    /// task. Called at construction and after a checkpoint restore;
-    /// registrations agreeing with an already-populated heap are no-ops,
-    /// and a checkpoint taken under the quantum scheduler (whose heap is
-    /// empty) gets its wake-ups rebuilt from scratch here.
+    /// (Re-)registers the wake-ups derivable from current state that are
+    /// still ahead: the static fault-window edges and each blocked task,
+    /// where the wake tick has not passed yet. Called at construction and
+    /// after a checkpoint restore. At a quantum boundary the event
+    /// scheduler has consumed every wake-up due before it and holds every
+    /// one still ahead, so re-registering only those ahead is a no-op on
+    /// an event-mode checkpoint (a restored engine's state equals its
+    /// source's) and rebuilds a quantum-mode checkpoint's empty heap. The
+    /// standing pair is left to [`Engine::advance_to`], which registers it
+    /// before every scheduler decision.
     fn rebuild_wakes(&mut self) {
-        self.register_standing_wakes();
+        let now = self.quantum_counter;
         for (w, window) in self.cfg.faults.plan.windows().iter().enumerate() {
             let comp = WAKE_FAULT_BASE + 2 * w as u64;
-            let start = self.wake_tick_at_start(window.start);
-            let end = self.wake_tick_at_start(window.end);
-            self.wakes.register(comp, start);
-            self.wakes.register(comp + 1, end);
+            for (edge, at) in [window.start, window.end].into_iter().enumerate() {
+                let tick = self.wake_tick_at_start(at);
+                if tick >= now {
+                    self.wakes.register(comp + edge as u64, tick);
+                }
+            }
         }
         for i in 0..self.tasks.len() {
             if let TaskState::BlockedUntil(at) = self.tasks[i].state {
                 let tick = self.wake_tick_at_start(at);
-                self.wakes.register(WAKE_TASK_BASE + i as u64, tick);
+                if tick >= now {
+                    self.wakes.register(WAKE_TASK_BASE + i as u64, tick);
+                }
             }
         }
     }

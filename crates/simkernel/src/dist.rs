@@ -7,6 +7,7 @@
 //! the standard choices for transaction-processing models.
 
 use crate::Rng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
 ///
@@ -133,6 +134,12 @@ impl Normal {
 /// uses a precomputed cumulative table, so construction is `O(n)` and
 /// sampling is `O(1)` amortized (a fixed-point bucket index into the CDF).
 ///
+/// **Shared tables.** A `Zipf` is a handle onto an immutable table. The
+/// table is a pure function of `(n, s)`, so [`Zipf::new`] builds each shape
+/// once per process and hands every later caller the same table: which
+/// thread or engine built it cannot be observed, and sampling reads it
+/// without locking.
+///
 /// **Sampling exactness.** The natural form — binary-search the f64 CDF for
 /// `u = next_f64()` — and the fast form below return the same rank for every
 /// generator state. `next_f64()` is `m * 2^-53` with `m = next_u64() >> 11`,
@@ -146,6 +153,12 @@ impl Normal {
 /// binary search.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Zipf {
+    table: Arc<ZipfTable>,
+}
+
+/// The precomputed tables of one `(n, s)` Zipf shape.
+#[derive(Debug, PartialEq)]
+struct ZipfTable {
     cdf: Vec<f64>,
     /// `floor(cdf[i] * 2^53)`: rank `i` is drawn for `m` in
     /// `[thresh[i-1], thresh[i])` (see sampling exactness above).
@@ -157,23 +170,19 @@ pub struct Zipf {
     strict: bool,
 }
 
-/// log2 of the bucket count in [`Zipf::bucket_lo`].
+/// log2 of the bucket count in [`ZipfTable::bucket_lo`].
 const ZIPF_BUCKET_BITS: u32 = 13;
 
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative/non-finite.
-    #[must_use]
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(n < u32::MAX as usize, "Zipf rank count too large: {n}");
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "exponent must be non-negative, got {s}"
-        );
+/// A Zipf shape as the interner keys it: `(n, s.to_bits())`.
+type ZipfKey = (usize, u64);
+
+/// Every Zipf table built so far. A process uses a handful of shapes, so
+/// a linear search beats hashing (and keeps lint rule D001's unordered
+/// maps out of simulation code).
+static ZIPF_TABLES: Mutex<Vec<(ZipfKey, Arc<ZipfTable>)>> = Mutex::new(Vec::new());
+
+impl ZipfTable {
+    fn build(n: usize, s: f64) -> Self {
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -197,18 +206,48 @@ impl Zipf {
             }
             bucket_lo.push(i);
         }
-        Zipf {
+        ZipfTable {
             cdf,
             thresh,
             bucket_lo,
             strict,
         }
     }
+}
+
+impl Zipf {
+    /// Creates a Zipf distribution over `n` ranks with exponent `s`,
+    /// sharing the table of any earlier `Zipf` of the same shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s` is negative/non-finite.
+    #[must_use]
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n > 0, "Zipf needs at least one rank");
+        assert!(n < u32::MAX as usize, "Zipf rank count too large: {n}");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "exponent must be non-negative, got {s}"
+        );
+        let key: ZipfKey = (n, s.to_bits());
+        // A panic while the lock was held cannot leave a half-built entry
+        // (tables are pushed whole), so a poisoned lock is still sound.
+        let mut tables = ZIPF_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
+            return Zipf {
+                table: Arc::clone(table),
+            };
+        }
+        let table = Arc::new(ZipfTable::build(n, s));
+        tables.push((key, Arc::clone(&table)));
+        Zipf { table }
+    }
 
     /// Number of ranks.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.table.cdf.len()
     }
 
     /// `true` if there is exactly one rank (degenerate but allowed).
@@ -222,24 +261,31 @@ impl Zipf {
     /// Draws a rank in `0..n`.
     #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
+        let t = &*self.table;
         // The 53-bit numerator `next_f64()` would have used; one draw
         // either way, so the generator stream is unchanged.
         let m = rng.next_u64() >> 11;
-        if self.strict {
+        if t.strict {
             let b = (m >> (53 - ZIPF_BUCKET_BITS)) as usize;
-            let mut i = self.bucket_lo[b] as usize;
-            while i < self.thresh.len() && self.thresh[i] < m {
+            let mut i = t.bucket_lo[b] as usize;
+            while i < t.thresh.len() && t.thresh[i] < m {
                 i += 1;
             }
-            return i.min(self.cdf.len() - 1);
+            return i.min(t.cdf.len() - 1);
         }
         let u = m as f64 * (1.0 / (1u64 << 53) as f64);
-        match self
+        match t
             .cdf
             .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
         {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
+            Ok(i) | Err(i) => i.min(t.cdf.len() - 1),
         }
+    }
+
+    /// The shared table behind this handle.
+    #[cfg(test)]
+    fn table(&self) -> &Arc<ZipfTable> {
+        &self.table
     }
 }
 
@@ -384,7 +430,8 @@ mod tests {
             (65536, 0.4),
         ];
         for &(n, s) in &shapes {
-            let z = Zipf::new(n, s);
+            let zipf = Zipf::new(n, s);
+            let z = &**zipf.table();
             assert!(z.strict, "simulator-range CDFs are strictly increasing");
             let reference = |u: f64| -> usize {
                 match z
@@ -429,6 +476,53 @@ mod tests {
                 assert_eq!(got, reference(u), "n={n} s={s} m={m}");
             }
         }
+    }
+
+    /// Equal shapes share one table; a different `n` or any change in the
+    /// bits of `s` gets its own.
+    #[test]
+    fn zipf_tables_are_shared_per_shape() {
+        let a = Zipf::new(333, 0.75);
+        let b = Zipf::new(333, 0.75);
+        assert!(Arc::ptr_eq(a.table(), b.table()));
+        let next_s = f64::from_bits(0.75f64.to_bits() + 1);
+        let c = Zipf::new(333, next_s);
+        assert!(!Arc::ptr_eq(a.table(), c.table()));
+        let d = Zipf::new(334, 0.75);
+        assert!(!Arc::ptr_eq(a.table(), d.table()));
+        assert_eq!(d.len(), 334);
+    }
+
+    /// Four threads racing to build one shape end up with one table, the
+    /// same sample sequence, and the table a private build would give.
+    #[test]
+    fn zipf_tables_built_concurrently_sample_identically() {
+        // A shape no other test uses, so the threads race to build it.
+        let (n, s) = (5000, 0.9);
+        let start = std::sync::Barrier::new(4);
+        let runs: Vec<(Zipf, Vec<usize>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let z = Zipf::new(n, s);
+                        let mut rng = Rng::new(11);
+                        let draws: Vec<usize> = (0..10_000).map(|_| z.sample(&mut rng)).collect();
+                        (z, draws)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sampler thread panicked"))
+                .collect()
+        });
+        let (first, first_draws) = &runs[0];
+        for (z, draws) in &runs[1..] {
+            assert!(Arc::ptr_eq(z.table(), first.table()));
+            assert_eq!(draws, first_draws);
+        }
+        assert_eq!(**first.table(), ZipfTable::build(n, s));
     }
 
     /// `sample` consumes exactly one draw, as before.

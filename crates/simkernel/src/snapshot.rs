@@ -32,6 +32,15 @@ pub trait StateIo {
 
     /// Saves or loads one 64-bit word — the only primitive of the format.
     fn word(&mut self, v: &mut u64);
+
+    /// The number of elements a container may load for the length word
+    /// `len` just visited. Every element persists at least one word, so a
+    /// [`Loader`] with fewer than `len` words left rejects the length
+    /// (poisoning itself) and answers 0; nothing is allocated for a
+    /// corrupt length. Savers pass `len` through.
+    fn admit_len(&mut self, len: u64) -> u64 {
+        len
+    }
 }
 
 /// State that can round-trip through a checkpoint.
@@ -85,14 +94,16 @@ impl StateIo for Saver {
 
 /// Deserializes state from a byte buffer.
 ///
-/// A short read poisons the loader (subsequent words read as zero) instead
-/// of panicking; callers check [`Loader::finish`] after the visit, which
-/// also rejects trailing bytes — a stream that is too long or too short
-/// means the checkpoint was produced by a different state layout.
+/// A short read or an impossible length word poisons the loader (every
+/// later word reads as zero) instead of panicking; callers check
+/// [`Loader::finish`] after the visit, which also rejects trailing bytes —
+/// a stream that is too long or too short means the checkpoint was produced
+/// by a different state layout.
 pub struct Loader<'a> {
     buf: &'a [u8],
     pos: usize,
-    underflow: bool,
+    /// Why the stream was rejected, once it has been.
+    poisoned: Option<String>,
 }
 
 impl<'a> Loader<'a> {
@@ -102,22 +113,25 @@ impl<'a> Loader<'a> {
         Loader {
             buf: bytes,
             pos: 0,
-            underflow: false,
+            poisoned: None,
         }
+    }
+
+    /// Whole words not yet consumed.
+    #[must_use]
+    pub fn remaining_words(&self) -> u64 {
+        ((self.buf.len() - self.pos) / 8) as u64
     }
 
     /// Validates that the visit consumed the buffer exactly.
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch (short read or trailing
-    /// bytes).
+    /// Returns a description of the mismatch (short read, impossible
+    /// length word, or trailing bytes).
     pub fn finish(self) -> Result<(), String> {
-        if self.underflow {
-            return Err(format!(
-                "checkpoint stream too short: needed more than {} bytes",
-                self.buf.len()
-            ));
+        if let Some(why) = self.poisoned {
+            return Err(why);
         }
         if self.pos != self.buf.len() {
             return Err(format!(
@@ -136,16 +150,34 @@ impl StateIo for Loader<'_> {
     }
 
     fn word(&mut self, v: &mut u64) {
+        *v = 0;
+        if self.poisoned.is_some() {
+            return;
+        }
         match self.buf.get(self.pos..self.pos + 8) {
             Some(chunk) => {
                 *v = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
                 self.pos += 8;
             }
             None => {
-                self.underflow = true;
-                *v = 0;
+                self.poisoned = Some(format!(
+                    "checkpoint stream too short: needed more than {} bytes",
+                    self.buf.len()
+                ));
             }
         }
+    }
+
+    fn admit_len(&mut self, len: u64) -> u64 {
+        // A poisoned loader reads every length as 0, which always fits.
+        let left = self.remaining_words();
+        if len <= left {
+            return len;
+        }
+        self.poisoned = Some(format!(
+            "checkpoint stream corrupt: a length word of {len} exceeds the {left} words left"
+        ));
+        0
     }
 }
 
@@ -257,7 +289,7 @@ pub fn persist_vec_with<T: Persist>(
     io.word(&mut len);
     if !io.saving() {
         v.clear();
-        for _ in 0..len {
+        for _ in 0..io.admit_len(len) {
             v.push(make());
         }
     }
@@ -277,7 +309,7 @@ pub fn persist_deque<T: Persist + Default>(io: &mut dyn StateIo, v: &mut VecDequ
     io.word(&mut len);
     if !io.saving() {
         v.clear();
-        for _ in 0..len {
+        for _ in 0..io.admit_len(len) {
             v.push_back(T::default());
         }
     }
@@ -345,7 +377,7 @@ where
         }
     } else {
         m.clear();
-        for _ in 0..len {
+        for _ in 0..io.admit_len(len) {
             let mut k = K::default();
             k.persist(io);
             let mut v = V::default();
@@ -369,7 +401,7 @@ where
         }
     } else {
         s.clear();
-        for _ in 0..len {
+        for _ in 0..io.admit_len(len) {
             let mut k = K::default();
             k.persist(io);
             s.insert(k);
@@ -530,6 +562,69 @@ mod tests {
         let mut loader = Loader::new(&long);
         trailing.persist(&mut loader);
         assert!(loader.finish().is_err(), "trailing bytes must be rejected");
+    }
+
+    /// A forged length word far beyond the stream is rejected before any
+    /// element is built, for every length-prefixed container.
+    #[test]
+    fn huge_length_words_poison_without_allocating() {
+        let bytes = (1u64 << 40).to_le_bytes();
+
+        let mut v: Vec<u64> = Vec::new();
+        let mut loader = Loader::new(&bytes);
+        persist_vec(&mut loader, &mut v);
+        assert!(v.is_empty());
+        let err = loader
+            .finish()
+            .expect_err("forged vec length must be rejected");
+        assert!(err.contains("length word of 1099511627776"), "{err}");
+
+        let mut q: VecDeque<u64> = VecDeque::new();
+        let mut loader = Loader::new(&bytes);
+        persist_deque(&mut loader, &mut q);
+        assert!(q.is_empty());
+        assert!(loader.finish().is_err());
+
+        let mut m: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut loader = Loader::new(&bytes);
+        persist_map(&mut loader, &mut m);
+        assert!(m.is_empty());
+        assert!(loader.finish().is_err());
+
+        let mut set: BTreeSet<u64> = BTreeSet::new();
+        let mut loader = Loader::new(&bytes);
+        persist_set(&mut loader, &mut set);
+        assert!(set.is_empty());
+        assert!(loader.finish().is_err());
+    }
+
+    /// A length one past the words left is rejected; the exact count
+    /// loads, and the poisoned loader reads zeros for the rest of the visit.
+    #[test]
+    fn length_words_are_bounded_by_the_words_left() {
+        let mut d = Demo {
+            c: vec![7, 8, 9],
+            d: Some((1, false)),
+            ..Demo::default()
+        };
+        let mut saver = Saver::new();
+        d.persist(&mut saver);
+        let mut bytes = saver.into_bytes();
+        let mut exact = Demo::default();
+        let mut loader = Loader::new(&bytes);
+        exact.persist(&mut loader);
+        loader.finish().expect("exact stream");
+        assert_eq!(exact, d);
+
+        // Words: a, b, len(c), c[0..3], present(d), d.0, d.1, len(e).
+        let left_after_len = (bytes.len() / 8 - 3) as u64;
+        bytes[16..24].copy_from_slice(&(left_after_len + 1).to_le_bytes());
+        let mut forged = Demo::default();
+        let mut loader = Loader::new(&bytes);
+        assert_eq!(loader.remaining_words(), (bytes.len() / 8) as u64);
+        forged.persist(&mut loader);
+        assert!(forged.c.is_empty() && forged.d.is_none());
+        assert!(loader.finish().is_err());
     }
 
     #[test]

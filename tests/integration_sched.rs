@@ -170,6 +170,41 @@ fn checkpoints_cross_schedulers_in_both_directions() {
     }
 }
 
+/// Saving a restored engine gives back the image it was restored from,
+/// byte for byte, under both schedulers: at checkpoints spread over the
+/// run (fault-window edges and blocked tasks on either side of them) and
+/// at the end of the run. Under the event scheduler this pins that a
+/// restore re-registers no wake-up the source had already consumed.
+#[test]
+fn save_load_save_is_byte_identical_under_both_schedulers() {
+    for sched in [SchedMode::Quantum, SchedMode::Event] {
+        for cfg in [storm_cfg(sched, 1), traced_cfg(sched, 1)] {
+            let mut source = Engine::new(cfg.clone(), plan());
+            let check = |source: &mut Engine, at: &str| {
+                let image = checkpoint_bytes(source);
+                let mut restored =
+                    restore_engine(&cfg, plan(), &image).expect("own checkpoint restores");
+                assert_eq!(
+                    restored.state_section_digests(),
+                    source.state_section_digests(),
+                    "{sched:?} restore at {at} changes the state"
+                );
+                assert_eq!(
+                    checkpoint_bytes(&mut restored),
+                    image,
+                    "{sched:?} re-save at {at} differs from the image"
+                );
+            };
+            for secs in (3..35).step_by(4) {
+                source.run_to(SimTime::from_secs(secs));
+                check(&mut source, &format!("{secs} s"));
+            }
+            source.run_to_end();
+            check(&mut source, "the end");
+        }
+    }
+}
+
 proptest! {
     /// Scheduler equivalence holds for arbitrary seeds, not just the
     /// golden one: a short run yields the same HPM digest and completion
