@@ -7,7 +7,7 @@
 //! fields are the fleet-aggregate simulated cycles and instructions.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use jas2004::{run_cluster, DispatchPolicy, FaultPlan, HpmEvent, RunPlan, SutConfig};
+use jas2004::{run_cluster_with, DispatchPolicy, FaultPlan, HpmEvent, RunPlan, SutConfig};
 use jas_simkernel::SimDuration;
 use std::time::Duration;
 
@@ -33,7 +33,15 @@ fn storm_cfg() -> SutConfig {
 /// extra-fields)` so the JSON row records simulation throughput plus the
 /// failover latency and shed fraction.
 fn run() -> ((f64, f64), Vec<(&'static str, f64)>) {
-    let art = run_cluster(&storm_cfg(), storm_plan(), 3, DispatchPolicy::LeastConn);
+    let art = run_cluster_with(
+        &storm_cfg(),
+        storm_plan(),
+        3,
+        DispatchPolicy::LeastConn,
+        None,
+        None,
+        None,
+    );
     black_box(art.hpm_digest);
     assert_eq!(art.verdict.lost, 0, "failover lost requests");
     let agg = art.fleet_hpm.aggregate();

@@ -19,12 +19,8 @@ fn main() {
         cfg.threads = threads;
         let mut engine = Engine::new(cfg, plan);
         engine.run_to_end();
-        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        let digest = format!("{:?}{:?}", engine.metrics(), engine.steady_counters());
-        for b in digest.as_bytes() {
-            acc ^= u64::from(*b);
-            acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let state = format!("{:?}{:?}", engine.metrics(), engine.steady_counters());
+        let acc = jas_simkernel::snapshot::fnv1a(state.as_bytes());
         println!(
             "threads={threads} completed={} aborted={} digest={acc:016x}",
             engine.completed_requests(),

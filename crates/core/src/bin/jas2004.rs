@@ -12,14 +12,13 @@
 use jas2004::cli::{parse_args, Cli, CliOptions, FigureSelect, USAGE};
 use jas2004::{
     checkpoint_bytes, figures, reduce_divergence, report, restore_engine, run_artifacts_from,
-    run_cluster, run_cluster_with, DispatchPolicy, Engine, FaultPlan, FaultWindow, RunPlan,
-    SutConfig,
+    run_cluster_with, Engine, FaultPlan, FaultWindow, RunPlan, SutConfig,
 };
 use jas_hpm::PhaseHpm;
-use jas_scenario::{ScenarioOutcome, ScenarioSpec};
+use jas_scenario::ScenarioOutcome;
 use jas_simkernel::{SimDuration, SimTime};
 use jas_workload::ReplayLog;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -51,6 +50,21 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("cannot write '{}': {e}", path.display()))
 }
 
+/// Where the engine branch pauses on its way to the end of the run.
+enum Stop<'a> {
+    /// At this simulated time, write a `.jckpt` of the engine state to
+    /// this path.
+    Checkpoint(SimTime, &'a Path),
+    /// Record the cumulative counters at this curve-phase boundary (s).
+    Phase(f64),
+}
+
+/// The one run driver. `--reduce` runs its own engines; every other
+/// invocation is either a load-balanced fleet (`nodes > 1`) or a single
+/// engine, started fresh or restored, optionally recording or replaying
+/// its request stream, paused at the checkpoint or at each curve-phase
+/// boundary of a `--scenario <file>` spec. A spec run is bracketed by its
+/// `SCENARIO_DIGEST` and `SCENARIO_VERDICT` lines.
 fn run(options: CliOptions) -> Result<(), String> {
     let CliOptions {
         config,
@@ -71,154 +85,57 @@ fn run(options: CliOptions) -> Result<(), String> {
     if reduce {
         return run_reduce(config, plan, witness_out.as_deref());
     }
-    if let Some(spec) = scenario_spec {
-        return run_scenario(*spec, config, plan, select, nodes, dispatch, trace_out);
-    }
-    if nodes > 1 {
-        return run_fleet(config, plan, nodes, dispatch, select);
-    }
-    eprintln!(
-        "running IR{} ({:?}), {:.0}s steady after {:.0}s ramp-up...",
-        config.ir,
-        config.scenario,
-        plan.steady.as_secs_f64(),
-        plan.ramp_up.as_secs_f64()
-    );
-
-    let mut engine = match restore_from.as_deref() {
-        Some(path) => {
-            let engine = restore_engine(&config, plan, &read_file(path)?)?;
-            eprintln!(
-                "restored {} at t={:.3}s",
-                path.display(),
-                engine.now().as_secs_f64()
-            );
-            engine
-        }
-        None => Engine::new(config.clone(), plan),
+    let spec = scenario_spec.as_deref();
+    let what = match spec {
+        Some(spec) => format!(
+            "scenario '{}' (curve {})",
+            spec.name,
+            spec.curve.kind_name()
+        ),
+        None => format!("({:?})", config.scenario),
     };
-    if record_out.is_some() {
-        engine.start_recording();
-    }
-    if let Some(path) = replay_from.as_deref() {
-        let log = ReplayLog::from_bytes(&read_file(path)?)?;
-        engine.arm_replay(log);
-        eprintln!("replaying {}", path.display());
-    }
-    if let (Some(at), Some(out)) = (checkpoint_at, checkpoint_out.as_deref()) {
-        engine.run_to(jas_simkernel::SimTime::ZERO + at);
-        let bytes = checkpoint_bytes(&mut engine);
-        write_file(out, &bytes)?;
-        println!(
-            "CKPT={} tick_ns={} bytes={}",
-            out.display(),
-            engine.now().as_nanos(),
-            bytes.len()
-        );
-    }
-    engine.run_to_end();
-    if let Some(out) = record_out.as_deref() {
-        let log = engine
-            .take_recording()
-            .expect("recording was started before the run");
-        let bytes = log.to_bytes();
-        write_file(out, &bytes)?;
-        println!(
-            "REPLAY_LOG={} arrivals={} bytes={}",
-            out.display(),
-            log.arrivals.len(),
-            bytes.len()
-        );
-    }
-    let art = run_artifacts_from(config, plan, engine);
-    print_figures(&art, select);
-    println!("HPM_DIGEST={:#018x}", art.hpm_digest);
-    if art.config.trace.enabled() {
-        println!(
-            "TRACE_DIGEST={:#018x} events={}",
-            art.trace_digest,
-            art.trace.len()
-        );
-    }
-    if !art.config.faults.plan.is_empty() {
-        println!(
-            "FAULT_DIGEST={:#018x} events={}",
-            art.fault_digest, art.fault_events
-        );
-    }
-    if let Some(path) = trace_out {
-        let json = jas_trace::export::to_chrome_json(art.trace.events());
-        write_file(&path, json.as_bytes())?;
-        eprintln!("trace written to {}", path.display());
-    }
-    if let Some(text) = &art.hostprof_text {
-        print!("{text}");
-    }
-    Ok(())
-}
-
-/// `--scenario <file>`: run the pinned scenario and print its digest,
-/// the usual run digests, and the `SCENARIO_VERDICT` line. The run is
-/// chunked at each workload-curve phase boundary (digest-equivalent to
-/// a straight run) so per-phase HPM rows come for free.
-fn run_scenario(
-    spec: ScenarioSpec,
-    config: SutConfig,
-    plan: RunPlan,
-    select: FigureSelect,
-    nodes: usize,
-    dispatch: DispatchPolicy,
-    trace_out: Option<PathBuf>,
-) -> Result<(), String> {
     eprintln!(
-        "running scenario '{}' (curve {}, IR{}, {} node(s)), {:.0}s steady after {:.0}s ramp-up...",
-        spec.name,
-        spec.curve.kind_name(),
+        "running IR{} {what} on {nodes} node(s), {:.0}s steady after {:.0}s ramp-up...",
         config.ir,
-        nodes,
         plan.steady.as_secs_f64(),
         plan.ramp_up.as_secs_f64()
     );
-    println!("SCENARIO_DIGEST={:#018x}", spec.digest());
+    if let Some(spec) = spec {
+        println!("SCENARIO_DIGEST={:#018x}", spec.digest());
+    }
     let end_s = plan.end().as_secs_f64();
     let mut phases = PhaseHpm::new();
+    let print_phases = |phases: &PhaseHpm, curve| {
+        if let (Some(spec), FigureSelect::Scenario) = (spec, select) {
+            let table = figures::scenario_table(&spec.name, curve, phases);
+            print!("{}", report::render_scenario(&table));
+        }
+    };
     let outcome = if nodes > 1 {
         let art = run_cluster_with(
             &config,
             plan,
             nodes,
             dispatch,
-            spec.autoscale,
-            Some(spec.max_in_flight),
-            Some(&mut phases),
+            spec.and_then(|spec| spec.autoscale),
+            spec.map(|spec| spec.max_in_flight),
+            spec.is_some().then_some(&mut phases),
         );
         if matches!(select, FigureSelect::All | FigureSelect::Cluster) {
             print!("{}", report::render_cluster(&figures::cluster_table(&art)));
         }
-        if matches!(select, FigureSelect::Scenario) {
-            print!(
-                "{}",
-                report::render_scenario(&figures::scenario_table(
-                    &spec.name,
-                    &config.curve,
-                    &phases
-                ))
-            );
-        }
-        println!("HPM_DIGEST={:#018x}", art.hpm_digest);
-        if config.trace.enabled() {
-            println!("TRACE_DIGEST={:#018x}", art.trace_digest);
-        }
-        if !config.faults.plan.is_empty() {
-            println!("FAULT_DIGEST={:#018x}", art.fault_digest);
-        }
+        print_phases(&phases, &config.curve);
+        let digests = [art.hpm_digest, art.trace_digest, art.fault_digest];
+        print_digests(&config, digests, None);
         for (i, digest) in art.node_hpm_digests.iter().enumerate() {
             println!("NODE{i}_HPM_DIGEST={digest:#018x}");
         }
-        println!(
-            "ACTIVE_NODES={} scale_ups={} scale_downs={}",
-            art.active_nodes, art.stats.scale_ups, art.stats.scale_downs
-        );
+        if spec.is_some() {
+            println!(
+                "ACTIVE_NODES={} scale_ups={} scale_downs={}",
+                art.active_nodes, art.stats.scale_ups, art.stats.scale_downs
+            );
+        }
         let v = &art.verdict;
         println!(
             "CLUSTER_VERDICT={} lost={} shed={} shed_fraction={:.4}",
@@ -231,112 +148,125 @@ fn run_scenario(
             v.shed,
             v.shed_fraction
         );
-        ScenarioOutcome {
+        spec.map(|spec| ScenarioOutcome {
             web_p90: v.verdict.web_p90,
             rmi_p90: v.verdict.rmi_p90,
             error_rate: v.verdict.error_rate,
             shed_fraction: v.shed_fraction,
             slo_miss: art.metrics.slo_miss_fraction(spec.slo.web_p90_s),
             lost: v.lost,
-        }
+        })
     } else {
-        let mut engine = Engine::new(config.clone(), plan);
-        for boundary_s in config.curve.phase_boundaries(end_s) {
-            engine.run_to(SimTime::ZERO + SimDuration::from_secs_f64(boundary_s));
-            phases.observe(boundary_s, &engine.total_counters());
+        let mut engine = match restore_from.as_deref() {
+            Some(path) => {
+                let engine = restore_engine(&config, plan, &read_file(path)?)?;
+                eprintln!(
+                    "restored {} at t={:.3}s",
+                    path.display(),
+                    engine.now().as_secs_f64()
+                );
+                engine
+            }
+            None => Engine::new(config.clone(), plan),
+        };
+        if record_out.is_some() {
+            engine.start_recording();
+        }
+        if let Some(path) = replay_from.as_deref() {
+            engine.arm_replay(ReplayLog::from_bytes(&read_file(path)?)?);
+            eprintln!("replaying {}", path.display());
+        }
+        // The CLI never combines `--checkpoint-at` with a spec.
+        let stops: Vec<Stop> = match (checkpoint_at, checkpoint_out.as_deref()) {
+            (Some(at), Some(out)) => vec![Stop::Checkpoint(SimTime::ZERO + at, out)],
+            _ if spec.is_some() => {
+                let bounds = config.curve.phase_boundaries(end_s);
+                bounds.into_iter().map(Stop::Phase).collect()
+            }
+            _ => Vec::new(),
+        };
+        for stop in stops {
+            match stop {
+                Stop::Checkpoint(at, out) => {
+                    engine.run_to(at);
+                    let bytes = checkpoint_bytes(&mut engine);
+                    write_file(out, &bytes)?;
+                    println!(
+                        "CKPT={} tick_ns={} bytes={}",
+                        out.display(),
+                        engine.now().as_nanos(),
+                        bytes.len()
+                    );
+                }
+                Stop::Phase(s) => {
+                    engine.run_to(SimTime::ZERO + SimDuration::from_secs_f64(s));
+                    phases.observe(s, &engine.total_counters());
+                }
+            }
         }
         engine.run_to_end();
         phases.observe(end_s, &engine.total_counters());
-        let slo_miss = engine.metrics().slo_miss_fraction(spec.slo.web_p90_s);
+        if let Some(out) = record_out.as_deref() {
+            let log = engine
+                .take_recording()
+                .expect("recording was started before the run");
+            let bytes = log.to_bytes();
+            write_file(out, &bytes)?;
+            println!(
+                "REPLAY_LOG={} arrivals={} bytes={}",
+                out.display(),
+                log.arrivals.len(),
+                bytes.len()
+            );
+        }
+        let slo_miss = spec.map(|spec| engine.metrics().slo_miss_fraction(spec.slo.web_p90_s));
         let art = run_artifacts_from(config, plan, engine);
         print_figures(&art, select);
-        if matches!(select, FigureSelect::Scenario) {
-            print!(
-                "{}",
-                report::render_scenario(&figures::scenario_table(
-                    &spec.name,
-                    &art.config.curve,
-                    &phases
-                ))
-            );
-        }
-        println!("HPM_DIGEST={:#018x}", art.hpm_digest);
-        if art.config.trace.enabled() {
-            println!(
-                "TRACE_DIGEST={:#018x} events={}",
-                art.trace_digest,
-                art.trace.len()
-            );
-        }
-        if !art.config.faults.plan.is_empty() {
-            println!(
-                "FAULT_DIGEST={:#018x} events={}",
-                art.fault_digest, art.fault_events
-            );
-        }
+        print_phases(&phases, &art.config.curve);
+        let digests = [art.hpm_digest, art.trace_digest, art.fault_digest];
+        print_digests(
+            &art.config,
+            digests,
+            Some([art.trace.len(), art.fault_events]),
+        );
         if let Some(path) = trace_out {
             let json = jas_trace::export::to_chrome_json(art.trace.events());
             write_file(&path, json.as_bytes())?;
             eprintln!("trace written to {}", path.display());
         }
-        ScenarioOutcome {
+        if let Some(text) = &art.hostprof_text {
+            print!("{text}");
+        }
+        slo_miss.map(|slo_miss| ScenarioOutcome {
             web_p90: art.verdict.web_p90,
             rmi_p90: art.verdict.rmi_p90,
             error_rate: art.verdict.error_rate,
             shed_fraction: 0.0,
             slo_miss,
             lost: 0,
-        }
+        })
     };
-    println!("{}", spec.verdict_line(&outcome));
+    if let (Some(spec), Some(outcome)) = (spec, outcome) {
+        println!("{}", spec.verdict_line(&outcome));
+    }
     Ok(())
 }
 
-/// `--nodes N > 1`: run the load-balanced fleet and print the fleet
-/// digests plus the failover verdict (DESIGN.md §13).
-fn run_fleet(
-    config: SutConfig,
-    plan: RunPlan,
-    nodes: usize,
-    dispatch: DispatchPolicy,
-    select: FigureSelect,
-) -> Result<(), String> {
-    eprintln!(
-        "running IR{} ({:?}) on {} nodes ({}), {:.0}s steady after {:.0}s ramp-up...",
-        config.ir,
-        config.scenario,
-        nodes,
-        dispatch.name(),
-        plan.steady.as_secs_f64(),
-        plan.ramp_up.as_secs_f64()
-    );
-    let art = run_cluster(&config, plan, nodes, dispatch);
-    if matches!(select, FigureSelect::All | FigureSelect::Cluster) {
-        print!("{}", report::render_cluster(&figures::cluster_table(&art)));
-    }
-    println!("HPM_DIGEST={:#018x}", art.hpm_digest);
+/// Prints the `HPM_DIGEST` line, plus `TRACE_DIGEST` when tracing is on
+/// and `FAULT_DIGEST` when a fault plan ran. `digests` is
+/// `[hpm, trace, fault]`; `events` (`[trace, fault]` event counts) adds
+/// an `events=` field to the last two — a single engine has them, a
+/// fleet's folded digests do not.
+fn print_digests(config: &SutConfig, digests: [u64; 3], events: Option<[usize; 2]>) {
+    let [hpm, trace, fault] = digests;
+    let count = |i: usize| events.map_or(String::new(), |n| format!(" events={}", n[i]));
+    println!("HPM_DIGEST={hpm:#018x}");
     if config.trace.enabled() {
-        println!("TRACE_DIGEST={:#018x}", art.trace_digest);
+        println!("TRACE_DIGEST={trace:#018x}{}", count(0));
     }
     if !config.faults.plan.is_empty() {
-        println!("FAULT_DIGEST={:#018x}", art.fault_digest);
+        println!("FAULT_DIGEST={fault:#018x}{}", count(1));
     }
-    for (i, digest) in art.node_hpm_digests.iter().enumerate() {
-        println!("NODE{i}_HPM_DIGEST={digest:#018x}");
-    }
-    let v = &art.verdict;
-    println!(
-        "CLUSTER_VERDICT={} lost={} shed={} shed_fraction={:.4}",
-        if v.lost == 0 && v.verdict.passed {
-            "pass"
-        } else {
-            "fail"
-        },
-        v.lost,
-        v.shed,
-        v.shed_fraction
-    );
-    Ok(())
 }
 
 /// `--reduce`: bisect the first divergence between the configured fault

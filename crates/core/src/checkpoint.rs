@@ -9,14 +9,14 @@
 //! engine evolves bit-identically to the original run at any `--threads`
 //! value.
 //!
-//! The byte layout is specified in `docs/jckpt-format.md` and pinned by a
-//! format test in `crates/replay`; bump [`JCKPT_VERSION`] on any layout
+//! The byte layout is specified in `docs/jckpt-format.md` and pinned by
+//! `crates/core/tests/format_pin.rs`; bump [`JCKPT_VERSION`] on any layout
 //! change.
 
 use crate::config::{RunPlan, SchedMode, SutConfig};
 use crate::engine::Engine;
-use jas_simkernel::snapshot::WordDigest;
-use jas_simkernel::{Loader, Saver, StateIo};
+use jas_simkernel::snapshot::{fnv1a, WordDigest};
+use jas_simkernel::{Loader, Saver};
 
 /// Magic word opening a `.jckpt` stream: ASCII `"JASCKPT1"` read as a
 /// big-endian integer.
@@ -71,30 +71,17 @@ pub fn checkpoint_bytes(engine: &mut Engine) -> Vec<u8> {
     let mut body = Saver::new();
     engine.persist_state(&mut body);
     let payload = body.into_bytes();
-    debug_assert_eq!(payload.len() % 8, 0, "payload is a whole number of words");
-
-    let mut out = Saver::new();
-    let mut digest = WordDigest::new();
     let header = [
         JCKPT_MAGIC,
         JCKPT_VERSION,
         config_fingerprint(engine.config()),
         (payload.len() / 8) as u64,
     ];
-    for word in header {
-        let mut w = word;
-        out.word(&mut w);
-        digest.mix(word);
-    }
-    for chunk in payload.chunks_exact(8) {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let mut w = word;
-        out.word(&mut w);
-        digest.mix(word);
-    }
-    let mut trailer = digest.value();
-    out.word(&mut trailer);
-    out.into_bytes()
+    let mut out: Vec<u8> = header.iter().flat_map(|w| w.to_le_bytes()).collect();
+    out.extend_from_slice(&payload);
+    let trailer = fnv1a(&out);
+    out.extend_from_slice(&trailer.to_le_bytes());
+    out
 }
 
 /// Validates a `.jckpt` stream against `cfg` and returns the raw payload
@@ -149,16 +136,12 @@ pub fn validate_checkpoint(cfg: &SutConfig, bytes: &[u8]) -> Result<Vec<u8>, Str
             bytes.len() / 8
         ));
     }
-    let mut digest = WordDigest::new();
-    for i in 0..HEADER_WORDS + payload_words {
-        digest.mix(word_at(i));
-    }
+    let computed = fnv1a(&bytes[..(HEADER_WORDS + payload_words) * 8]);
     let trailer = word_at(HEADER_WORDS + payload_words);
-    if digest.value() != trailer {
+    if computed != trailer {
         return Err(format!(
             "checkpoint is corrupt: trailer digest {trailer:#018x} != \
-             computed {:#018x}",
-            digest.value()
+             computed {computed:#018x}"
         ));
     }
     Ok(bytes[HEADER_WORDS * 8..(HEADER_WORDS + payload_words) * 8].to_vec())

@@ -2118,7 +2118,7 @@ enum StepOutcome {
 }
 // --- Checkpoint persistence ---
 //
-// Everything below serializes the engine's *mutable* state for jas-replay
+// Everything below serializes the engine's *mutable* state for `.jckpt`
 // checkpoints. Config-derived structures (plans, CDFs, pool capacities,
 // per-core generators' static tables) are rebuilt by `Engine::new` from the
 // same `SutConfig`; a restore overlays only what a run mutates. The same
@@ -2217,12 +2217,9 @@ impl Engine {
     /// reconciled only between quanta). Restore overlays a freshly built
     /// `Engine::new(cfg, run)` with the same configuration — the scenario
     /// type, DB schema, and warm session store come from construction, and
-    /// only run-mutated state is replayed from the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics when loading a stream whose scenario tag does not match the
-    /// engine's configured scenario (a config/checkpoint mismatch).
+    /// only run-mutated state is replayed from the stream. A loaded stream
+    /// that contradicts the configuration (a fixed slice length, the
+    /// scenario tag) is rejected through the loader's poison path.
     pub fn persist_state(&mut self, io: &mut dyn StateIo) {
         self.rng.persist(io);
         self.clock.persist(io);
@@ -2259,11 +2256,11 @@ impl Engine {
         self.appserver.persist(io);
         let mut tag = self.scenario.kind_tag();
         io.word(&mut tag);
-        assert_eq!(
-            tag,
-            self.scenario.kind_tag(),
-            "checkpoint scenario does not match the configured scenario"
-        );
+        if tag != self.scenario.kind_tag() {
+            io.reject(format!(
+                "checkpoint scenario tag {tag} does not match the configured scenario"
+            ));
+        }
         self.scenario.persist_state(io);
         snap::persist_opt(io, &mut self.recorder);
         // Version 2 tail: the wake heap (canonical live-registration form)

@@ -3,7 +3,7 @@
 //!
 //! `--nodes 1` never reaches this module — the CLI runs the legacy
 //! single-engine path, byte-identical to a build without the cluster
-//! layer. For `--nodes N > 1`, [`run_cluster`] builds N independent
+//! layer. For `--nodes N > 1`, [`run_cluster_with`] builds N independent
 //! engine stacks (distinct seeds, same configuration shape), hands the
 //! workload's arrival process to the LB, and returns fleet artifacts.
 
@@ -183,27 +183,12 @@ fn mean_failover_ms(log: &jas_faults::FaultLog) -> f64 {
 ///
 /// Fleet fault windows in `cfg.faults.plan` are executed by the LB; each
 /// node engine sees only the local windows, so a fleet-only plan leaves
-/// every node on the byte-identical healthy path.
-///
-/// # Panics
-///
-/// Panics if `nodes < 2` (the single-node path is the legacy engine run,
-/// not a one-node fleet).
-#[must_use]
-pub fn run_cluster(
-    cfg: &SutConfig,
-    run: RunPlan,
-    nodes: usize,
-    dispatch: DispatchPolicy,
-) -> ClusterArtifacts {
-    run_cluster_with(cfg, run, nodes, dispatch, None, None, None)
-}
-
-/// [`run_cluster`] with the scenario-layer extensions: an optional
-/// reactive autoscaler, an explicit admission cap, and optional
-/// per-phase HPM attribution (the fleet is chunked at each workload
-/// curve phase boundary — chunked runs are digest-equivalent to
-/// straight runs, so this costs nothing in determinism).
+/// every node on the byte-identical healthy path. The scenario layer
+/// adds an optional reactive autoscaler, an explicit admission cap
+/// (`None` keeps the LB default), and optional per-phase HPM attribution
+/// (the fleet is chunked at each workload curve phase boundary — chunked
+/// runs are digest-equivalent to straight runs, so this costs nothing in
+/// determinism).
 ///
 /// # Panics
 ///
@@ -221,7 +206,7 @@ pub fn run_cluster_with(
 ) -> ClusterArtifacts {
     assert!(
         nodes >= 2,
-        "run_cluster needs a fleet; --nodes 1 is the legacy path"
+        "run_cluster_with needs a fleet; --nodes 1 is the legacy path"
     );
     let fleet_nodes: Vec<EngineNode> = (0..nodes)
         .map(|i| {

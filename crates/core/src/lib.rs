@@ -42,9 +42,63 @@ pub use checkpoint::{checkpoint_bytes, config_fingerprint, restore_engine, valid
 pub use config::{FaultsConfig, RunPlan, ScenarioKind, SchedMode, SutConfig};
 pub use engine::Engine;
 pub use experiment::{run_artifacts_from, run_experiment, RunArtifacts};
-pub use fleet::{run_cluster, run_cluster_with, ClusterArtifacts, EngineNode};
+pub use fleet::{run_cluster_with, ClusterArtifacts, EngineNode};
 pub use jas_cluster::{AutoscaleConfig, ClusterVerdict, DispatchPolicy, FleetStats};
 pub use jas_cpu::{CounterFile, HpmEvent};
 pub use jas_faults::{FaultCounters, FaultKind, FaultPlan, FaultWindow};
 pub use jas_trace::{TraceCategory, TraceEvent, TraceEventKind, TraceSpec, Tracer};
 pub use reduce::{reduce_divergence, DivergenceWitness};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick_cfg() -> SutConfig {
+        let mut cfg = SutConfig::at_ir(10);
+        cfg.machine.frequency_hz = 100_000.0;
+        cfg.jvm.heap.capacity = 8 << 20;
+        cfg.jvm.live_target = 2 << 20;
+        cfg
+    }
+
+    /// Runs `cfg` to the end while recording its request stream.
+    fn record(cfg: &SutConfig, plan: RunPlan) -> (RunArtifacts, jas_workload::ReplayLog) {
+        let mut engine = Engine::new(cfg.clone(), plan);
+        engine.start_recording();
+        engine.run_to_end();
+        let log = engine.take_recording().expect("recording was started");
+        (run_artifacts_from(cfg.clone(), plan, engine), log)
+    }
+
+    /// Re-executes a recorded stream in place of the workload generator.
+    fn replay(cfg: &SutConfig, plan: RunPlan, log: jas_workload::ReplayLog) -> RunArtifacts {
+        let mut engine = Engine::new(cfg.clone(), plan);
+        engine.arm_replay(log);
+        engine.run_to_end();
+        run_artifacts_from(cfg.clone(), plan, engine)
+    }
+
+    #[test]
+    fn recorded_replay_reproduces_the_run() {
+        let cfg = quick_cfg();
+        let plan = RunPlan::quick();
+        let (original, log) = record(&cfg, plan);
+        assert!(!log.is_empty());
+        let replayed = replay(&cfg, plan, log);
+        assert_eq!(replayed.jops, original.jops);
+        assert_eq!(replayed.trace_digest, original.trace_digest);
+        assert_eq!(replayed.fault_digest, original.fault_digest);
+    }
+
+    #[test]
+    fn replay_matches_under_different_thread_count() {
+        let cfg = quick_cfg();
+        let plan = RunPlan::quick();
+        let (original, log) = record(&cfg, plan);
+        let mut threaded = cfg.clone();
+        threaded.threads = 4;
+        let replayed = replay(&threaded, plan, log);
+        assert_eq!(replayed.jops, original.jops);
+        assert_eq!(replayed.trace_digest, original.trace_digest);
+    }
+}

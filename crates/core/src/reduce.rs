@@ -16,7 +16,7 @@
 use crate::checkpoint::{checkpoint_bytes, restore_engine};
 use crate::config::{RunPlan, SutConfig};
 use crate::engine::Engine;
-use jas_simkernel::snapshot::WordDigest;
+use jas_simkernel::snapshot::fnv1a;
 use jas_simkernel::{Loader, SimDuration, SimTime, StateIo};
 
 /// Magic word opening a serialized witness (`"JASWTNS1"`).
@@ -63,8 +63,7 @@ impl DivergenceWitness {
     /// Serializes the witness (layout: `docs/jckpt-format.md`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = jas_simkernel::Saver::new();
-        let mut words = vec![
+        let words = [
             WITNESS_MAGIC,
             self.window_start.as_nanos(),
             self.window_end.as_nanos(),
@@ -74,21 +73,12 @@ impl DivergenceWitness {
             self.ckpt_a.len() as u64,
             self.ckpt_b.len() as u64,
         ];
-        for blob in [&self.ckpt_a, &self.ckpt_b] {
-            debug_assert_eq!(blob.len() % 8, 0, "checkpoints are whole words");
-            for chunk in blob.chunks_exact(8) {
-                words.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-            }
-        }
-        let mut digest = WordDigest::new();
-        for &word in &words {
-            digest.mix(word);
-        }
-        words.push(digest.value());
-        for mut word in words {
-            out.word(&mut word);
-        }
-        out.into_bytes()
+        let mut out: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.extend_from_slice(&self.ckpt_a);
+        out.extend_from_slice(&self.ckpt_b);
+        let trailer = fnv1a(&out);
+        out.extend_from_slice(&trailer.to_le_bytes());
+        out
     }
 
     /// Deserializes a witness produced by [`DivergenceWitness::to_bytes`].
@@ -153,16 +143,11 @@ impl DivergenceWitness {
         // round-trips exactly, so the digests match iff the stream was
         // intact.
         let reserialized = witness.to_bytes();
-        let body_words = reserialized.len() / 8 - 1;
-        let mut check = WordDigest::new();
-        for chunk in reserialized[..body_words * 8].chunks_exact(8) {
-            check.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        if check.value() != trailer {
+        let computed = fnv1a(&reserialized[..reserialized.len() - 8]);
+        if computed != trailer {
             return Err(format!(
                 "witness is corrupt: trailer digest {trailer:#018x} != \
-                 computed {:#018x}",
-                check.value()
+                 computed {computed:#018x}"
             ));
         }
         Ok(witness)

@@ -370,17 +370,9 @@ impl ScenarioSpec {
     }
 }
 
-/// FNV-1a over bytes — the same constants every digest in the stack
-/// uses.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a over bytes — the stack's one digest primitive, re-exported so
+/// spec tooling can recompute a pin without naming the kernel crate.
+pub use jas_simkernel::snapshot::fnv1a;
 
 /// Canonical number formatting: integers print without a decimal
 /// point, everything else uses Rust's shortest round-trip form.

@@ -6,6 +6,14 @@
 //! through SplitMix64 (the reference seeding procedure), which has excellent
 //! statistical quality for simulation purposes and is trivially portable.
 
+use crate::snapshot::FNV_OFFSET_BASIS;
+
+/// The multiplier [`Rng::fork`] folds label bytes with. It is NOT the
+/// FNV-1a prime (`0x100_0000_01b3`), yet every forked stream in the
+/// simulator is seeded through it. Do not "fix" it: that would reseed
+/// every component and move every golden digest in the project.
+const FORK_LABEL_MULTIPLIER: u64 = 0x1000_0000_01b3;
+
 /// A deterministic `xoshiro256**` pseudo-random number generator.
 ///
 /// Two generators created with the same seed produce identical streams.
@@ -53,10 +61,10 @@ impl Rng {
     /// distinct streams even when forked from the same parent state.
     #[must_use]
     pub fn fork(&mut self, label: &str) -> Rng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = FNV_OFFSET_BASIS;
         for b in label.bytes() {
             h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+            h = h.wrapping_mul(FORK_LABEL_MULTIPLIER);
         }
         Rng::new(self.next_u64() ^ h)
     }

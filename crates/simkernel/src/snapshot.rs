@@ -41,6 +41,12 @@ pub trait StateIo {
     fn admit_len(&mut self, len: u64) -> u64 {
         len
     }
+
+    /// Reports a loaded value that contradicts the configured state (a
+    /// fixed slice length, an enum tag). A [`Loader`] poisons itself with
+    /// `why`, so [`Loader::finish`] returns it as an error; savers only
+    /// ever visit their own values, so they cannot disagree and ignore it.
+    fn reject(&mut self, _why: String) {}
 }
 
 /// State that can round-trip through a checkpoint.
@@ -174,10 +180,15 @@ impl StateIo for Loader<'_> {
         if len <= left {
             return len;
         }
-        self.poisoned = Some(format!(
+        self.reject(format!(
             "checkpoint stream corrupt: a length word of {len} exceeds the {left} words left"
         ));
         0
+    }
+
+    fn reject(&mut self, why: String) {
+        // The first reason wins: later ones are read from a zeroed stream.
+        self.poisoned.get_or_insert(why);
     }
 }
 
@@ -319,21 +330,18 @@ pub fn persist_deque<T: Persist + Default>(io: &mut dyn StateIo, v: &mut VecDequ
 }
 
 /// Persists a fixed-size slice whose length is config-derived: the length
-/// is recorded for validation but never resizes the slice.
-///
-/// # Panics
-///
-/// Panics when a loaded checkpoint disagrees with the slice length — the
-/// checkpoint was taken under a different configuration, which the
-/// container-level fingerprint should have rejected first.
+/// is recorded for validation but never resizes the slice. A loaded length
+/// that disagrees (configuration drift, or a forged stream) is rejected
+/// through [`StateIo::reject`].
 pub fn persist_slice<T: Persist>(io: &mut dyn StateIo, v: &mut [T]) {
     let mut len = v.len() as u64;
     io.word(&mut len);
-    assert_eq!(
-        len as usize,
-        v.len(),
-        "checkpoint slice length mismatch (configuration drift)"
-    );
+    if len != v.len() as u64 {
+        io.reject(format!(
+            "checkpoint slice length mismatch: stream has {len}, configuration has {}",
+            v.len()
+        ));
+    }
     for item in v.iter_mut() {
         item.persist(io);
     }
@@ -409,20 +417,30 @@ where
     }
 }
 
-/// FNV-1a over a byte slice — the digest primitive the `.jckpt` container
-/// and the engine's probe digest share with the trace/fault digests.
+/// The 64-bit FNV-1a offset basis: the starting value of every digest in
+/// the stack.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice — the one digest primitive of the stack: the
+/// `.jckpt` container, the engine's probe digest, the trace/fault/fleet
+/// digests ([`WordDigest`]) and the scenario-spec digest all fold with it.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    bytes
+        .iter()
+        .fold(FNV_OFFSET_BASIS, |hash, &b| fnv1a_byte(hash, b))
 }
 
-/// Incremental FNV-1a over 64-bit words, for cheap structural digests
-/// (the engine's divergence probe).
+#[inline]
+fn fnv1a_byte(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// Incremental FNV-1a over 64-bit words (each folded as its eight
+/// little-endian bytes), for cheap structural digests.
 #[derive(Clone, Copy, Debug)]
 pub struct WordDigest {
     hash: u64,
@@ -431,7 +449,7 @@ pub struct WordDigest {
 impl Default for WordDigest {
     fn default() -> Self {
         WordDigest {
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: FNV_OFFSET_BASIS,
         }
     }
 }
@@ -444,10 +462,10 @@ impl WordDigest {
     }
 
     /// Mixes one word.
+    #[inline]
     pub fn mix(&mut self, v: u64) {
         for byte in v.to_le_bytes() {
-            self.hash ^= u64::from(byte);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+            self.hash = fnv1a_byte(self.hash, byte);
         }
     }
 
@@ -625,6 +643,21 @@ mod tests {
         forged.persist(&mut loader);
         assert!(forged.c.is_empty() && forged.d.is_none());
         assert!(loader.finish().is_err());
+    }
+
+    /// A fixed slice whose loaded length disagrees with the configured one
+    /// poisons the loader instead of panicking.
+    #[test]
+    fn slice_length_mismatch_is_an_error() {
+        let mut three = [1u64, 2, 3];
+        let mut saver = Saver::new();
+        persist_slice(&mut saver, &mut three);
+        let bytes = saver.into_bytes();
+        let mut four = [0u64; 4];
+        let mut loader = Loader::new(&bytes);
+        persist_slice(&mut loader, &mut four);
+        let err = loader.finish().expect_err("length mismatch is rejected");
+        assert!(err.contains("slice length mismatch"), "{err}");
     }
 
     #[test]

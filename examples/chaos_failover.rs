@@ -15,7 +15,7 @@
 //! ```
 
 use jas2004::{
-    figures, report, run_cluster, DispatchPolicy, FaultPlan, RunPlan, SchedMode, SutConfig,
+    figures, report, run_cluster_with, DispatchPolicy, FaultPlan, RunPlan, SchedMode, SutConfig,
 };
 use jas_simkernel::SimDuration;
 
@@ -75,7 +75,7 @@ fn main() {
     println!(
         "chaos failover: 3 nodes, least-conn, {threads} host thread(s), {sched:?} scheduler, storm at t=8..26s"
     );
-    let art = run_cluster(&cfg, plan, 3, DispatchPolicy::LeastConn);
+    let art = run_cluster_with(&cfg, plan, 3, DispatchPolicy::LeastConn, None, None, None);
     print!("{}", report::render_cluster(&figures::cluster_table(&art)));
 
     // Machine-readable lines for the CI cluster-smoke diff.

@@ -6,7 +6,7 @@
 //! to a build without the cluster layer, fleet-only fault plans included.
 
 use jas2004::{
-    run_cluster, ClusterArtifacts, DispatchPolicy, Engine, FaultKind, FaultPlan, FaultWindow,
+    run_cluster_with, ClusterArtifacts, DispatchPolicy, Engine, FaultKind, FaultPlan, FaultWindow,
     RunPlan, SchedMode, SutConfig,
 };
 use jas_cpu::HpmEvent;
@@ -37,11 +37,14 @@ fn storm_cfg(threads: usize, sched: SchedMode) -> SutConfig {
 }
 
 fn run_storm(threads: usize, sched: SchedMode) -> ClusterArtifacts {
-    run_cluster(
+    run_cluster_with(
         &storm_cfg(threads, sched),
         plan(),
         3,
         DispatchPolicy::LeastConn,
+        None,
+        None,
+        None,
     )
 }
 
@@ -108,8 +111,24 @@ fn storm_failover_verdict_is_pinned() {
 #[test]
 fn each_dispatch_policy_is_reproducible() {
     for policy in DispatchPolicy::ALL {
-        let a = run_cluster(&storm_cfg(1, SchedMode::Quantum), plan(), 2, policy);
-        let b = run_cluster(&storm_cfg(1, SchedMode::Quantum), plan(), 2, policy);
+        let a = run_cluster_with(
+            &storm_cfg(1, SchedMode::Quantum),
+            plan(),
+            2,
+            policy,
+            None,
+            None,
+            None,
+        );
+        let b = run_cluster_with(
+            &storm_cfg(1, SchedMode::Quantum),
+            plan(),
+            2,
+            policy,
+            None,
+            None,
+            None,
+        );
         assert_eq!(
             a.hpm_digest,
             b.hpm_digest,

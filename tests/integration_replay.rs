@@ -1,15 +1,17 @@
-//! jas-replay acceptance gates: checkpoint/restore is bit-identical at
-//! every thread count, `.jckpt` streams round-trip and reject
-//! version/config mismatches, trace-driven replay reproduces a recorded
-//! run's digests, and the reducer shrinks a seeded divergence to a
-//! witness window ≤ 10% of the run.
+//! Checkpoint/replay acceptance gates: checkpoint/restore is
+//! bit-identical at every thread count, `.jckpt` streams round-trip and
+//! reject version/config mismatches and forged payloads, trace-driven
+//! replay reproduces a recorded run's digests, and the reducer shrinks a
+//! seeded divergence to a witness window ≤ 10% of the run.
 
-use jas_faults::{FaultKind, FaultPlan, FaultWindow};
-use jas_replay::{
-    checkpoint_bytes, record_run, reduce_divergence, replay_run, restore_engine, Engine, RunPlan,
-    SutConfig,
+use jas2004::{
+    checkpoint_bytes, reduce_divergence, restore_engine, run_artifacts_from, DivergenceWitness,
+    Engine, RunArtifacts, RunPlan, SutConfig,
 };
+use jas_faults::{FaultKind, FaultPlan, FaultWindow};
+use jas_simkernel::snapshot::fnv1a;
 use jas_simkernel::{SimDuration, SimTime};
+use jas_workload::ReplayLog;
 use proptest::prelude::*;
 
 fn plan() -> RunPlan {
@@ -29,6 +31,23 @@ fn cfg(seed: u64) -> SutConfig {
     c.jvm.live_target = 2 << 20;
     c.seed = seed;
     c
+}
+
+/// Runs `cfg` to the end while recording its request stream.
+fn record(cfg: &SutConfig, plan: RunPlan) -> (RunArtifacts, ReplayLog) {
+    let mut e = Engine::new(cfg.clone(), plan);
+    e.start_recording();
+    e.run_to_end();
+    let log = e.take_recording().expect("recording was started");
+    (run_artifacts_from(cfg.clone(), plan, e), log)
+}
+
+/// Re-executes a recorded stream in place of the workload generator.
+fn replay(cfg: &SutConfig, plan: RunPlan, log: ReplayLog) -> RunArtifacts {
+    let mut e = Engine::new(cfg.clone(), plan);
+    e.arm_replay(log);
+    e.run_to_end();
+    run_artifacts_from(cfg.clone(), plan, e)
 }
 
 /// Golden digests of an uninterrupted run.
@@ -123,6 +142,26 @@ fn version_and_config_mismatches_are_rejected() {
     assert!(restore_engine(&threaded, plan, &bytes).is_ok());
 }
 
+/// A payload forged past the trailer check — the `tasks` length word
+/// (payload word 7) set to 2^40 with the trailer recomputed — is refused
+/// with an error, not a panic.
+#[test]
+fn forged_task_length_is_rejected() {
+    let cfg = cfg(6);
+    let plan = plan();
+    let mut e = Engine::new(cfg.clone(), plan);
+    e.run_to(SimTime::from_secs(1));
+    let mut bytes = checkpoint_bytes(&mut e);
+    let word = |i: usize| i * 8..i * 8 + 8;
+    // Header: magic, version, fingerprint, payload length.
+    bytes[word(4 + 7)].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let trailer = bytes.len() / 8 - 1;
+    let digest = fnv1a(&bytes[..trailer * 8]);
+    bytes[word(trailer)].copy_from_slice(&digest.to_le_bytes());
+    let err = restore_engine(&cfg, plan, &bytes).map(|_| ()).unwrap_err();
+    assert!(err.contains("length word"), "unexpected error: {err}");
+}
+
 /// Trace-driven replay: a run recorded with tracing on replays to the
 /// same per-request verdicts and the same `TRACE_DIGEST`, including at a
 /// different thread count.
@@ -131,10 +170,10 @@ fn traced_replay_reproduces_verdicts_and_digest() {
     let mut traced = cfg(4);
     traced.trace = jas2004::TraceSpec::parse("all").unwrap();
     let plan = plan();
-    let (original, log) = record_run(&traced, plan);
+    let (original, log) = record(&traced, plan);
     assert_ne!(original.trace_digest, 0);
 
-    let replayed = replay_run(&traced, plan, log.clone());
+    let replayed = replay(&traced, plan, log.clone());
     assert_eq!(replayed.trace_digest, original.trace_digest);
     assert_eq!(replayed.jops, original.jops);
     assert_eq!(replayed.completed, original.completed);
@@ -143,7 +182,7 @@ fn traced_replay_reproduces_verdicts_and_digest() {
 
     let mut threaded = traced.clone();
     threaded.threads = 4;
-    let replayed = replay_run(&threaded, plan, log);
+    let replayed = replay(&threaded, plan, log);
     assert_eq!(replayed.trace_digest, original.trace_digest);
     assert_eq!(replayed.hpm_digest, original.hpm_digest);
 }
@@ -174,7 +213,7 @@ fn reducer_shrinks_divergence_below_ten_percent() {
     witness.verify(&a, &b, plan).unwrap();
 
     // The witness survives serialization.
-    let back = jas_replay::DivergenceWitness::from_bytes(&witness.to_bytes()).unwrap();
+    let back = DivergenceWitness::from_bytes(&witness.to_bytes()).unwrap();
     back.verify(&a, &b, plan).unwrap();
 }
 
