@@ -110,7 +110,7 @@ use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for PlanStep {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             PlanStep::Compute { .. } => 0,
             PlanStep::Allocate { .. } => 1,
             PlanStep::Db { .. } => 2,
@@ -119,7 +119,7 @@ impl Persist for PlanStep {
             PlanStep::Lock { .. } => 5,
             PlanStep::SessionTouch => 6,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 7, "plan step tag");
         if !io.saving() {
             *self = match tag {
                 0 => PlanStep::Compute {

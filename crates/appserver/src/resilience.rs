@@ -192,16 +192,16 @@ impl CircuitBreaker {
 }
 // --- Checkpoint persistence ---
 
-use jas_simkernel::snapshot::{Persist, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for BreakerState {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
             BreakerState::HalfOpen => 2,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 3, "breaker state tag");
         if !io.saving() {
             *self = match tag {
                 0 => BreakerState::Closed,

@@ -162,7 +162,7 @@ impl AppServer {
 }
 // --- Checkpoint persistence ---
 
-use jas_simkernel::snapshot::{Persist, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for AppServer {
     // `work_order_queue` is assigned at boot and never changes.
@@ -179,8 +179,7 @@ impl Persist for AppServer {
 impl Persist for PoolKind {
     // Encoded as the stable `index()`.
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = u64::from(self.index());
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, u64::from(self.index()), 4, "pool kind tag");
         if !io.saving() {
             *self = match tag {
                 0 => PoolKind::WebContainer,

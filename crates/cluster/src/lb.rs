@@ -82,7 +82,8 @@ pub struct ClusterConfig {
     /// Delay between a crash and the warm restart from the last snapshot.
     pub restart_delay: SimDuration,
     /// Snapshot attempts fire every `snapshot_every` epochs (taken only
-    /// when the node is quiescent, so restores never replay work).
+    /// when the node is quiescent, so restores never replay work, and only
+    /// while a `node-crash` window can still open).
     pub snapshot_every: u64,
     /// Per-node admission cap: dispatch sheds when every available node
     /// is at this many requests in flight.
@@ -159,7 +160,9 @@ struct NodeCtl {
     inflight: VecDeque<DispatchRecord>,
     base_completed: u64,
     base_errored: u64,
-    snapshot: Option<(Vec<u8>, SimTime)>,
+    /// The node's last quiescent image, held only while a restart can
+    /// still read it.
+    snapshot: Option<Vec<u8>>,
 }
 
 impl NodeCtl {
@@ -314,7 +317,8 @@ impl<N: ClusterNode> Cluster<N> {
     /// with the run's steady window, used for LB-assigned outcomes
     /// (crash errors) and as the base of the fleet merge. The initial
     /// quiescent snapshot of every node is captured on first entry to
-    /// [`Cluster::run`], before any fault window can roll.
+    /// [`Cluster::run`], before any fault window can roll (when the plan
+    /// has a `node-crash` window at all).
     ///
     /// # Panics
     ///
@@ -372,7 +376,7 @@ impl<N: ClusterNode> Cluster<N> {
         // so a crash ahead of the first periodic snapshot still
         // warm-restarts from a valid image.
         if self.epoch_index == 0 && self.clock == SimTime::ZERO {
-            self.take_snapshots();
+            self.take_snapshots(SimTime::ZERO);
         }
         if self.pending_arrival.is_none() {
             let (gap, kind) = arrivals.next_arrival();
@@ -420,7 +424,7 @@ impl<N: ClusterNode> Cluster<N> {
             if self.cfg.snapshot_every > 0
                 && (self.epoch_index + 1).is_multiple_of(self.cfg.snapshot_every)
             {
-                self.take_snapshots();
+                self.take_snapshots(t1);
             }
             self.clock = t1;
             self.epoch_index += 1;
@@ -501,9 +505,11 @@ impl<N: ClusterNode> Cluster<N> {
     }
 
     /// Warm-restarts crashed nodes whose delay has elapsed: restore the
-    /// last quiescent snapshot, fast-forward the (idle) node to the
-    /// present, and hand it to half-open probing for readmission.
+    /// last quiescent snapshot in place, fast-forward the (idle) node to
+    /// the present, and hand it to half-open probing for readmission. The
+    /// image is dropped once no crash can follow.
     fn execute_restarts(&mut self, t0: SimTime) {
+        let keep_images = self.crash_can_follow(t0);
         for i in 0..self.nodes.len() {
             let Health::Crashed { restart_at } = self.ctl[i].health else {
                 continue;
@@ -511,13 +517,16 @@ impl<N: ClusterNode> Cluster<N> {
             if restart_at > t0 {
                 continue;
             }
-            let (bytes, _) = self.ctl[i]
+            let bytes = self.ctl[i]
                 .snapshot
-                .clone()
+                .as_deref()
                 .expect("initial snapshot captured at the start of the run");
             let node = &mut self.nodes[i];
-            node.restore(&bytes);
+            node.restore(bytes);
             node.run_to(t0);
+            if !keep_images {
+                self.ctl[i].snapshot = None;
+            }
             self.ctl[i].base_completed = node.completed();
             self.ctl[i].base_errored = node.errored();
             self.ctl[i].health = Health::Ejected;
@@ -712,14 +721,40 @@ impl<N: ClusterNode> Cluster<N> {
         }
     }
 
-    /// Captures per-node snapshots where possible. Only quiescent nodes
-    /// are captured (nothing in flight, nothing queued): a restore must
-    /// never replay half-done work, which is also what keeps the engine's
-    /// unpersisted external queue provably empty at capture.
-    fn take_snapshots(&mut self) {
+    /// Whether a node can still crash at or after `at`: crashes roll only
+    /// at epoch starts inside a `node-crash` window, so some such window
+    /// must end after `at`.
+    fn crash_can_follow(&self, at: SimTime) -> bool {
+        self.cfg
+            .plan
+            .windows()
+            .iter()
+            .any(|w| w.kind == FaultKind::NodeCrash && w.end > at)
+    }
+
+    /// Captures per-node snapshots at `at` (an epoch boundary) where
+    /// possible. Only quiescent nodes are captured (nothing in flight,
+    /// nothing queued): a restore must never replay half-done work, which
+    /// is also what keeps the engine's unpersisted external queue provably
+    /// empty at capture. A node's old image is dropped before its
+    /// replacement is built, so it holds one at a time.
+    ///
+    /// Only a restart reads an image, and only for a node that crashed
+    /// after the capture: the next crash roll is at `at` or later. So when
+    /// no crash can follow `at`, nothing is captured and every image a
+    /// live node holds is dropped — none of them can be read. A crashed
+    /// node keeps its image for its pending restart.
+    fn take_snapshots(&mut self, at: SimTime) {
+        let readable = self.crash_can_follow(at);
         for (node, ctl) in self.nodes.iter_mut().zip(self.ctl.iter_mut()) {
-            if !ctl.crashed() && node.in_flight() == 0 && ctl.inflight.is_empty() {
-                ctl.snapshot = Some((node.snapshot(), node.now()));
+            if ctl.crashed() {
+                continue;
+            }
+            if !readable {
+                ctl.snapshot = None;
+            } else if node.in_flight() == 0 && ctl.inflight.is_empty() {
+                ctl.snapshot = None;
+                ctl.snapshot = Some(node.snapshot());
             }
         }
     }

@@ -33,13 +33,14 @@ pub use node::{ArrivalStream, ClusterNode};
 mod tests {
     use super::*;
     use jas_cpu::{CounterFile, HpmEvent};
-    use jas_faults::FaultPlan;
+    use jas_faults::{EventKind, FaultPlan};
     use jas_simkernel::{SimDuration, SimTime};
     use jas_workload::{Metrics, RequestKind};
     use std::collections::VecDeque;
 
     /// A deterministic fixed-latency node: every arrival completes
-    /// exactly `latency` after its arrival instant.
+    /// exactly `latency` after its arrival instant. It logs the instant of
+    /// every image it captures and of every image it is restored from.
     struct MockNode {
         clock: SimTime,
         latency: SimDuration,
@@ -48,6 +49,8 @@ mod tests {
         errored: u64,
         counters: CounterFile,
         metrics: Metrics,
+        captured_at: Vec<SimTime>,
+        restored_to: Vec<SimTime>,
     }
 
     impl MockNode {
@@ -60,6 +63,8 @@ mod tests {
                 errored: 0,
                 counters: CounterFile::default(),
                 metrics: test_metrics(),
+                captured_at: Vec::new(),
+                restored_to: Vec::new(),
             }
         }
     }
@@ -102,6 +107,7 @@ mod tests {
 
         fn snapshot(&mut self) -> Vec<u8> {
             assert!(self.pending.is_empty(), "snapshot of a busy mock");
+            self.captured_at.push(self.clock);
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&self.clock.as_nanos().to_le_bytes());
             bytes.extend_from_slice(&self.completed.to_le_bytes());
@@ -114,6 +120,7 @@ mod tests {
                 u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8 bytes"))
             };
             self.clock = SimTime::from_nanos(word(0));
+            self.restored_to.push(self.clock);
             self.completed = word(1);
             self.errored = word(2);
             self.pending.clear();
@@ -252,6 +259,87 @@ mod tests {
         assert!(s.restarts > 0, "no warm restarts");
         let v = c.verdict();
         assert_eq!(v.lost, 0, "lost requests: {s:?}");
+    }
+
+    /// A plan with no `node-crash` window captures no image at all, not
+    /// even the initial one: nothing could ever restore from it.
+    #[test]
+    fn no_crash_window_captures_no_image() {
+        let mut c = fleet(
+            2,
+            ClusterConfig {
+                plan: FaultPlan::parse("node-slow@1-3:0.5,partition@2-4:0.3").expect("parses"),
+                ..cfg(2)
+            },
+        );
+        let mut arrivals = Steady {
+            gap: SimDuration::from_millis(40),
+            kind: RequestKind::Browse,
+        };
+        c.run(&mut arrivals, SimTime::from_secs(6));
+        assert!(c.stats().completions > 0);
+        for node in c.nodes() {
+            assert!(node.captured_at.is_empty(), "{:?}", node.captured_at);
+        }
+    }
+
+    /// Images are captured only while a crash can still roll: with every
+    /// node crashing at each epoch start in 2–4 s, nothing is captured from
+    /// the first epoch at or after 4 s, and every restart restores the
+    /// node's last image from before its crash.
+    #[test]
+    fn images_are_captured_only_while_a_crash_can_read_them() {
+        let mut c = fleet(
+            3,
+            ClusterConfig {
+                plan: FaultPlan::parse("node-crash@2-4:1").expect("parses"),
+                seed: 5,
+                ..cfg(3)
+            },
+        );
+        let mut arrivals = Steady {
+            gap: SimDuration::from_millis(30),
+            kind: RequestKind::Browse,
+        };
+        c.run(&mut arrivals, SimTime::from_secs(8));
+        let s = *c.stats();
+        assert!(s.crashes >= 3 && s.restarts >= 3, "{s:?}");
+        assert_eq!(c.verdict().lost, 0);
+        for (i, node) in c.nodes().iter().enumerate() {
+            assert_eq!(node.captured_at.first(), Some(&SimTime::ZERO));
+            let last = *node.captured_at.last().expect("captured");
+            assert!(
+                last < SimTime::from_secs(4),
+                "node {i} captured at {last:?}"
+            );
+            // Each restart, in order, restores the last image captured
+            // before the node's matching crash.
+            let mut crashed_at = None;
+            let mut expected = Vec::new();
+            for ev in c.log().events() {
+                match ev.what {
+                    EventKind::NodeCrashed { node: n } if n as usize == i => {
+                        crashed_at = Some(ev.at);
+                    }
+                    EventKind::NodeRestarted { node: n } if n as usize == i => {
+                        let crash = crashed_at.take().expect("restart follows a crash");
+                        expected.push(last_capture_before(&node.captured_at, crash));
+                    }
+                    _ => {}
+                }
+            }
+            assert!(!expected.is_empty(), "node {i} never restarted");
+            assert_eq!(node.restored_to, expected, "node {i}");
+        }
+    }
+
+    /// The last capture instant at or before `crash`.
+    fn last_capture_before(captures: &[SimTime], crash: SimTime) -> SimTime {
+        *captures
+            .iter()
+            .rev()
+            .find(|&&at| at <= crash)
+            .expect("an image precedes every crash")
     }
 
     #[test]

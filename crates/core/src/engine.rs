@@ -2128,13 +2128,13 @@ enum StepOutcome {
 
 impl Persist for TaskState {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             TaskState::Ready => 0,
             TaskState::BlockedUntil(_) => 1,
             TaskState::WaitingPool => 2,
             TaskState::Done => 3,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 4, "task state tag");
         if !io.saving() {
             *self = match tag {
                 0 => TaskState::Ready,
@@ -2525,6 +2525,18 @@ mod tests {
         cfg.jvm.heap.capacity = 8 << 20;
         cfg.jvm.live_target = 2 << 20;
         Engine::new(cfg, RunPlan::quick())
+    }
+
+    /// A task-state tag past the last variant fails the load instead of
+    /// decoding as `Done`.
+    #[test]
+    fn out_of_range_task_state_tag_is_rejected() {
+        let bytes = 4u64.to_le_bytes();
+        let mut state = TaskState::Ready;
+        let mut loader = jas_simkernel::Loader::new(&bytes);
+        state.persist(&mut loader);
+        let err = loader.finish().expect_err("tag 4 is out of range");
+        assert!(err.contains("not a valid task state tag"), "{err}");
     }
 
     #[test]

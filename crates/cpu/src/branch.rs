@@ -98,7 +98,7 @@ pub struct BranchUnit {
     pht: Vec<u8>, // 2-bit saturating counters
     history: u64,
     history_mask: u64,
-    btb: Vec<(u64, u64)>, // (site tag, last target)
+    btb: Vec<[u64; 2]>, // [site tag, last target]
     cond_seen: u64,
     cond_mispredicted: u64,
     ind_seen: u64,
@@ -119,7 +119,7 @@ impl BranchUnit {
             pht: vec![1; cfg.pht_entries], // weakly not-taken
             history: 0,
             history_mask: (1u64 << cfg.history_bits) - 1,
-            btb: vec![(u64::MAX, 0); cfg.btb_entries],
+            btb: vec![[u64::MAX, 0]; cfg.btb_entries],
             cond_seen: 0,
             cond_mispredicted: 0,
             ind_seen: 0,
@@ -160,12 +160,12 @@ impl BranchUnit {
     pub fn resolve_indirect(&mut self, site: u64, target: u64) -> Prediction {
         self.ind_seen += 1;
         let idx = (site % self.btb.len() as u64) as usize;
-        let (tag, predicted) = self.btb[idx];
+        let [tag, predicted] = self.btb[idx];
         let correct = tag == site && predicted == target;
         if !correct {
             self.ind_mispredicted += 1;
         }
-        self.btb[idx] = (site, target);
+        self.btb[idx] = [site, target];
         Prediction { correct }
     }
 
@@ -197,9 +197,9 @@ impl Persist for BranchUnit {
     /// prediction statistics are the mutable state.
     // jas-lint: allow(D009, reason = "history_mask is config-derived sizing, rebuilt by construction")
     fn persist(&mut self, io: &mut dyn StateIo) {
-        snap::persist_slice(io, &mut self.pht);
+        snap::persist_byte_slice(io, &mut self.pht, u8::MAX, |c| c, |c| c);
         self.history.persist(io);
-        snap::persist_slice(io, &mut self.btb);
+        snap::persist_word_rows(io, &mut self.btb);
         self.cond_seen.persist(io);
         self.cond_mispredicted.persist(io);
         self.ind_seen.persist(io);

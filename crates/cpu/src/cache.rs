@@ -376,21 +376,26 @@ impl SetAssocCache {
 
 use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
-impl Persist for Mesi {
-    fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = match self {
-            Mesi::Invalid => 0u64,
+impl Mesi {
+    /// The checkpoint tag of this state: one word per line in the cache's
+    /// state slice.
+    fn tag(self) -> u8 {
+        match self {
+            Mesi::Invalid => 0,
             Mesi::Shared => 1,
             Mesi::Exclusive => 2,
             Mesi::Modified => 3,
-        };
-        io.word(&mut tag);
-        *self = match tag {
+        }
+    }
+
+    /// The state a checkpoint tag of at most 3 encodes.
+    fn from_tag(tag: u8) -> Mesi {
+        match tag {
             1 => Mesi::Shared,
             2 => Mesi::Exclusive,
             3 => Mesi::Modified,
             _ => Mesi::Invalid,
-        };
+        }
     }
 }
 
@@ -399,9 +404,9 @@ impl Persist for SetAssocCache {
     /// rebuilt by construction; only line contents and statistics persist.
     // jas-lint: allow(D009, reason = "cfg and the sets/fastmod_m/line_shift sizing are config-derived, rebuilt by construction")
     fn persist(&mut self, io: &mut dyn StateIo) {
-        snap::persist_slice(io, &mut self.tags);
-        snap::persist_slice(io, &mut self.states);
-        snap::persist_slice(io, &mut self.stamps);
+        snap::persist_word_slice(io, &mut self.tags);
+        snap::persist_byte_slice(io, &mut self.states, 3, Mesi::tag, Mesi::from_tag);
+        snap::persist_word_slice(io, &mut self.stamps);
         self.tick.persist(io);
         self.hits.persist(io);
         self.misses.persist(io);

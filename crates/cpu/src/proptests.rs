@@ -6,6 +6,7 @@ use crate::branch::{BranchConfig, BranchUnit};
 use crate::cache::{CacheConfig, Mesi, Replacement, SetAssocCache};
 use crate::prefetch::{PrefetchConfig, Prefetcher};
 use crate::tlb::TranslationCache;
+use jas_simkernel::snapshot::{Loader, PerWord, Persist, Saver};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -41,7 +42,71 @@ impl RefLru {
     }
 }
 
+/// Saves `sut` through the bulk `Saver` and the per-word reference (same
+/// bytes required), then loads the image cut at every word boundary into
+/// `fresh()` both ways: the verdicts and the loaded states must agree.
+fn assert_bulk_matches_per_word<T: Persist>(sut: &mut T, fresh: impl Fn() -> T) {
+    let save = |v: &mut T| {
+        let mut saver = Saver::new();
+        v.persist(&mut saver);
+        saver.into_bytes()
+    };
+    let image = save(sut);
+    let mut slow = PerWord(Saver::new());
+    sut.persist(&mut slow);
+    assert_eq!(image, slow.0.into_bytes());
+    for cut in (0..=image.len()).step_by(8) {
+        let (mut fast, mut slow) = (fresh(), fresh());
+        let mut fast_io = Loader::new(&image[..cut]);
+        fast.persist(&mut fast_io);
+        let mut slow_io = PerWord(Loader::new(&image[..cut]));
+        slow.persist(&mut slow_io);
+        assert_eq!(fast_io.finish(), slow_io.0.finish(), "cut at byte {cut}");
+        assert_eq!(save(&mut fast), save(&mut slow), "cut at byte {cut}");
+    }
+}
+
 proptest! {
+    /// A cache's tag, state and stamp arrays and a branch unit's PHT and
+    /// BTB move through the bulk primitives exactly as word by word, for
+    /// every truncation of their image.
+    #[test]
+    fn bulk_snapshots_match_per_word(
+        ops in proptest::collection::vec((0u8..4, 0u64..64), 1..60),
+    ) {
+        let cfg = CacheConfig {
+            size_bytes: 128 * 2 * 4,
+            line_bytes: 128,
+            ways: 2,
+            replacement: Replacement::Lru,
+        };
+        let mut cache = SetAssocCache::new(cfg);
+        let bcfg = BranchConfig {
+            pht_entries: 8,
+            history_bits: 3,
+            btb_entries: 4,
+        };
+        let mut branch = BranchUnit::new(bcfg);
+        let states = [Mesi::Shared, Mesi::Exclusive, Mesi::Modified];
+        for (kind, v) in ops {
+            let line = v % 16;
+            match kind {
+                0 => {
+                    cache.insert(line, states[(v % 3) as usize]);
+                }
+                1 => {
+                    cache.access(line);
+                }
+                _ => {
+                    branch.resolve_conditional(v, kind == 2);
+                    branch.resolve_indirect(v % 5, v);
+                }
+            }
+        }
+        assert_bulk_matches_per_word(&mut cache, || SetAssocCache::new(cfg));
+        assert_bulk_matches_per_word(&mut branch, || BranchUnit::new(bcfg));
+    }
+
     /// The translation cache behaves exactly like a reference LRU, through
     /// all three entry points (`lookup`, `insert`, `lookup_or_insert`).
     #[test]

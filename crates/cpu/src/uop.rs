@@ -93,14 +93,14 @@ impl MicroOp {
 }
 // --- Checkpoint persistence -------------------------------------------------
 
-use jas_simkernel::snapshot::{Persist, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for MicroOp {
     /// Integer tag plus up to two argument words (format is
     /// variant-shaped, not fixed-width — the visitor replays the same
     /// shape on load).
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = match self {
+        let tag = match self {
             MicroOp::Alu => 0u64,
             MicroOp::Load { .. } => 1,
             MicroOp::Store { .. } => 2,
@@ -112,7 +112,7 @@ impl Persist for MicroOp {
             MicroOp::Call { .. } => 8,
             MicroOp::Return { .. } => 9,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 10, "micro-op tag");
         if !io.saving() {
             *self = match tag {
                 1 => MicroOp::Load { ea: 0 },

@@ -374,11 +374,11 @@ use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for DbFault {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             DbFault::LockTimeout => 0,
             DbFault::IoStall => 1,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 2, "db fault tag");
         if !io.saving() {
             *self = if tag == 0 {
                 DbFault::LockTimeout
@@ -414,14 +414,14 @@ impl Default for Query {
 
 impl Persist for Query {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             Query::SelectByKey { .. } => 0,
             Query::RangeScan { .. } => 1,
             Query::Insert { .. } => 2,
             Query::Update { .. } => 3,
             Query::Delete { .. } => 4,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 5, "query tag");
         if !io.saving() {
             let t = TableId(0);
             *self = match tag {

@@ -207,11 +207,11 @@ impl Persist for TxnId {
 
 impl Persist for LockMode {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             LockMode::Shared => 0,
             LockMode::Exclusive => 1,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 2, "lock mode tag");
         if !io.saving() {
             *self = if tag == 0 {
                 LockMode::Shared

@@ -186,7 +186,7 @@ use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for EventKind {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             EventKind::Injected(_) => 0,
             EventKind::RetryScheduled { .. } => 1,
             EventKind::BreakerOpened => 2,
@@ -206,7 +206,7 @@ impl Persist for EventKind {
             EventKind::NodeScaledUp { .. } => 16,
             EventKind::NodeScaledDown { .. } => 17,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 18, "fault event tag");
         if !io.saving() {
             *self = match tag {
                 0 => EventKind::Injected(FaultKind::default()),

@@ -304,15 +304,15 @@ fn parse_secs(s: &str) -> Result<f64, String> {
 }
 // --- Checkpoint persistence ---
 
-use jas_simkernel::snapshot::{Persist, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for FaultKind {
     // Encoded as the stable `index()` position in `ALL`.
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = self.index() as u64;
-        io.word(&mut tag);
+        let count = FaultKind::ALL.len() as u64;
+        let tag = snap::persist_tag(io, self.index() as u64, count, "fault kind tag");
         if !io.saving() {
-            *self = FaultKind::ALL[(tag as usize).min(FaultKind::ALL.len() - 1)];
+            *self = FaultKind::ALL[tag as usize];
         }
     }
 }

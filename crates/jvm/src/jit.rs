@@ -199,13 +199,13 @@ use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for OptLevel {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = match self {
+        let tag = match self {
             OptLevel::Cold => 0u64,
             OptLevel::Warm => 1,
             OptLevel::Hot => 2,
             OptLevel::Scorching => 3,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 4, "JIT level tag");
         *self = match tag {
             1 => OptLevel::Warm,
             2 => OptLevel::Hot,

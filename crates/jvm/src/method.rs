@@ -284,13 +284,14 @@ impl Persist for MethodId {
 impl Persist for Component {
     // Encoded as the position in `Component::ALL` (a stable order).
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = Component::ALL
+        let tag = Component::ALL
             .iter()
             .position(|c| c == self)
             .expect("component is in ALL") as u64;
-        io.word(&mut tag);
+        let count = Component::ALL.len() as u64;
+        let tag = snap::persist_tag(io, tag, count, "component tag");
         if !io.saving() {
-            *self = Component::ALL[(tag as usize).min(Component::ALL.len() - 1)];
+            *self = Component::ALL[tag as usize];
         }
     }
 }

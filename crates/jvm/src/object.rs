@@ -82,7 +82,7 @@ pub(crate) struct ObjectSlot {
 }
 // --- Checkpoint persistence -------------------------------------------------
 
-use jas_simkernel::snapshot::{Persist, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for ObjectId {
     fn persist(&mut self, io: &mut dyn StateIo) {
@@ -103,7 +103,7 @@ impl Persist for ObjectSlot {
 
 impl Persist for ObjectClass {
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag: u64 = match self {
+        let tag: u64 = match self {
             ObjectClass::Small => 0,
             ObjectClass::Bean => 1,
             ObjectClass::CharArray => 2,
@@ -111,7 +111,7 @@ impl Persist for ObjectClass {
             ObjectClass::Session => 4,
             ObjectClass::Buffer => 5,
         };
-        io.word(&mut tag);
+        let tag = snap::persist_tag(io, tag, 6, "object class tag");
         if !io.saving() {
             *self = match tag {
                 0 => ObjectClass::Small,

@@ -10,10 +10,15 @@
 //! The wire format is deliberately primitive: every value is one
 //! little-endian `u64` word. Floats travel as IEEE-754 bit patterns
 //! ([`f64::to_bits`]), so a round trip is bit-exact; enums travel as integer
-//! tags chosen by their defining crate. Config-derived state (sizing
-//! constants, precomputed tables) is *not* persisted — a restore first
-//! reconstructs it from the same configuration, then overlays the mutable
-//! state recorded here.
+//! tags chosen by their defining crate, and a loaded tag, narrow integer or
+//! `bool` no saver could have written fails the load (`admit_word`).
+//! Large config-sized arrays (cache tags, predictor tables) move through
+//! the bulk primitives [`StateIo::words`] and [`StateIo::byte_words`],
+//! which write exactly the words the per-word path writes.
+//!
+//! Config-derived state (sizing constants, precomputed tables) is *not*
+//! persisted — a restore first reconstructs it from the same
+//! configuration, then overlays the mutable state recorded here.
 //!
 //! Containers follow the lint-rule-D001 discipline: ordered maps and sets
 //! serialize in key order, so a checkpoint's bytes are as deterministic as
@@ -33,6 +38,28 @@ pub trait StateIo {
     /// Saves or loads one 64-bit word — the only primitive of the format.
     fn word(&mut self, v: &mut u64);
 
+    /// Saves or loads a run of words in one call. The stream, and a
+    /// loader's behaviour on a short stream, are exactly those of calling
+    /// [`StateIo::word`] on each element in order; visitors override it
+    /// only to move the run in bulk.
+    fn words(&mut self, vs: &mut [u64]) {
+        for v in vs {
+            self.word(v);
+        }
+    }
+
+    /// Saves or loads a run of byte-sized values in place, each as one
+    /// zero-extended word (the stream of [`StateIo::word`] per element). A
+    /// loaded word above `max` is rejected through `admit_word` and reads
+    /// as 0, exactly as the per-element decode would.
+    fn byte_words(&mut self, vs: &mut [u8], max: u8) {
+        for v in vs {
+            let mut w = u64::from(*v);
+            self.word(&mut w);
+            *v = admit_byte(self, w, max);
+        }
+    }
+
     /// The number of elements a container may load for the length word
     /// `len` just visited. Every element persists at least one word, so a
     /// [`Loader`] with fewer than `len` words left rejects the length
@@ -47,6 +74,36 @@ pub trait StateIo {
     /// `why`, so [`Loader::finish`] returns it as an error; savers only
     /// ever visit their own values, so they cannot disagree and ignore it.
     fn reject(&mut self, _why: String) {}
+}
+
+/// Accepts a loaded word when `valid`; otherwise rejects it through
+/// [`StateIo::reject`] and answers 0. The one check behind every enum tag,
+/// narrow integer and `bool` a loader decodes, so a forged word fails the
+/// load instead of decoding to some default. A saving visitor only sees
+/// the state's own values and passes them through unchanged.
+fn admit_word<I: StateIo + ?Sized>(io: &mut I, w: u64, valid: bool, what: &str) -> u64 {
+    if valid || io.saving() {
+        return w;
+    }
+    io.reject(format!(
+        "checkpoint stream corrupt: {w:#x} is not a valid {what}"
+    ));
+    0
+}
+
+/// `admit_word` for a byte-sized value of at most `max`.
+fn admit_byte<I: StateIo + ?Sized>(io: &mut I, w: u64, max: u8) -> u8 {
+    let w = admit_word(io, w, w <= u64::from(max), "byte-sized value");
+    u8::try_from(w).unwrap_or(0)
+}
+
+/// Saves or loads an enum's tag word. `tag` is the saver's encoding of the
+/// current variant, one of `0..count`; a loaded tag of `count` or more is
+/// rejected and reads as 0. Returns the tag to decode.
+pub fn persist_tag(io: &mut dyn StateIo, tag: u64, count: u64, what: &str) -> u64 {
+    let mut w = tag;
+    io.word(&mut w);
+    admit_word(io, w, w < count, what)
 }
 
 /// State that can round-trip through a checkpoint.
@@ -69,6 +126,16 @@ impl Saver {
         Saver::default()
     }
 
+    /// An empty saver whose buffer holds `bytes` before it reallocates;
+    /// sized from a previous image of the same state, the image is built
+    /// in one allocation.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Saver {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The serialized bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
@@ -86,6 +153,13 @@ impl Saver {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
+
+    /// Appends `words` zeroed words and returns them for filling.
+    fn grow(&mut self, words: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + words * 8, 0);
+        &mut self.buf[start..]
+    }
 }
 
 impl StateIo for Saver {
@@ -95,6 +169,19 @@ impl StateIo for Saver {
 
     fn word(&mut self, v: &mut u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn words(&mut self, vs: &mut [u64]) {
+        for (out, v) in self.grow(vs.len()).chunks_exact_mut(8).zip(vs.iter()) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn byte_words(&mut self, vs: &mut [u8], _max: u8) {
+        // Each word is the byte followed by seven zero bytes.
+        for (out, v) in self.grow(vs.len()).chunks_exact_mut(8).zip(vs.iter()) {
+            out[0] = *v;
+        }
     }
 }
 
@@ -148,6 +235,13 @@ impl<'a> Loader<'a> {
         }
         Ok(())
     }
+
+    fn poison_short(&mut self) {
+        self.poisoned = Some(format!(
+            "checkpoint stream too short: needed more than {} bytes",
+            self.buf.len()
+        ));
+    }
 }
 
 impl StateIo for Loader<'_> {
@@ -165,12 +259,27 @@ impl StateIo for Loader<'_> {
                 *v = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
                 self.pos += 8;
             }
-            None => {
-                self.poisoned = Some(format!(
-                    "checkpoint stream too short: needed more than {} bytes",
-                    self.buf.len()
-                ));
-            }
+            None => self.poison_short(),
+        }
+    }
+
+    fn words(&mut self, vs: &mut [u64]) {
+        // The whole words that are there, then zeros and the poison a
+        // word-at-a-time read of the same run ends with.
+        let have = if self.poisoned.is_some() {
+            0
+        } else {
+            vs.len().min((self.buf.len() - self.pos) / 8)
+        };
+        let (read, missing) = vs.split_at_mut(have);
+        let end = self.pos + have * 8;
+        for (v, chunk) in read.iter_mut().zip(self.buf[self.pos..end].chunks_exact(8)) {
+            *v = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+        self.pos = end;
+        missing.fill(0);
+        if !missing.is_empty() && self.poisoned.is_none() {
+            self.poison_short();
         }
     }
 
@@ -195,10 +304,16 @@ impl StateIo for Loader<'_> {
 macro_rules! persist_as_word {
     ($($t:ty),+) => {$(
         impl Persist for $t {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            // A loaded word must round-trip through the saver's own cast.
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                clippy::cast_possible_wrap
+            )]
             fn persist(&mut self, io: &mut dyn StateIo) {
                 let mut w = *self as u64;
                 io.word(&mut w);
+                let w = admit_word(io, w, (w as $t) as u64 == w, stringify!($t));
                 *self = w as $t;
             }
         }
@@ -211,7 +326,7 @@ impl Persist for bool {
     fn persist(&mut self, io: &mut dyn StateIo) {
         let mut w = u64::from(*self);
         io.word(&mut w);
-        *self = w != 0;
+        *self = admit_word(io, w, w <= 1, "bool") != 0;
     }
 }
 
@@ -334,16 +449,61 @@ pub fn persist_deque<T: Persist + Default>(io: &mut dyn StateIo, v: &mut VecDequ
 /// that disagrees (configuration drift, or a forged stream) is rejected
 /// through [`StateIo::reject`].
 pub fn persist_slice<T: Persist>(io: &mut dyn StateIo, v: &mut [T]) {
-    let mut len = v.len() as u64;
-    io.word(&mut len);
-    if len != v.len() as u64 {
-        io.reject(format!(
-            "checkpoint slice length mismatch: stream has {len}, configuration has {}",
-            v.len()
-        ));
-    }
+    persist_slice_len(io, v.len());
     for item in v.iter_mut() {
         item.persist(io);
+    }
+}
+
+/// The length word of a config-sized slice of `len` elements.
+fn persist_slice_len(io: &mut dyn StateIo, len: usize) {
+    let mut w = len as u64;
+    io.word(&mut w);
+    if w != len as u64 {
+        io.reject(format!(
+            "checkpoint slice length mismatch: stream has {w}, configuration has {len}"
+        ));
+    }
+}
+
+/// [`persist_slice`] for a slice of words, moved through
+/// [`StateIo::words`]: the same stream in one call.
+pub fn persist_word_slice(io: &mut dyn StateIo, v: &mut [u64]) {
+    persist_slice_len(io, v.len());
+    io.words(v);
+}
+
+/// [`persist_slice`] for a slice of `N`-word rows (each row persisted as
+/// its words in order, like a tuple of words), moved through
+/// [`StateIo::words`] in one call.
+pub fn persist_word_rows<const N: usize>(io: &mut dyn StateIo, v: &mut [[u64; N]]) {
+    persist_slice_len(io, v.len());
+    io.words(v.as_flattened_mut());
+}
+
+/// [`persist_slice`] for byte-sized elements — `u8` counters, fieldless
+/// enums — each one word holding `to_byte(element)` of at most `max`. The
+/// elements pass through [`StateIo::byte_words`] a small stack chunk at a
+/// time, so no heap buffer is allocated; a loaded word above `max` is
+/// rejected and its element decodes from 0.
+pub fn persist_byte_slice<T: Copy>(
+    io: &mut dyn StateIo,
+    v: &mut [T],
+    max: u8,
+    to_byte: impl Fn(T) -> u8,
+    from_byte: impl Fn(u8) -> T,
+) {
+    persist_slice_len(io, v.len());
+    let mut chunk = [0u8; 512];
+    for part in v.chunks_mut(chunk.len()) {
+        let bytes = &mut chunk[..part.len()];
+        for (b, item) in bytes.iter_mut().zip(part.iter()) {
+            *b = to_byte(*item);
+        }
+        io.byte_words(bytes, max);
+        for (item, b) in part.iter_mut().zip(bytes.iter()) {
+            *item = from_byte(*b);
+        }
     }
 }
 
@@ -414,6 +574,32 @@ where
             k.persist(io);
             s.insert(k);
         }
+    }
+}
+
+/// A visitor that forwards only the per-word primitive (and the length and
+/// rejection hooks) of the visitor it wraps, so every run of words goes
+/// through the trait's word-at-a-time default bodies. It is the reference
+/// the bulk overrides of [`Saver`] and [`Loader`] are checked against:
+/// both must produce the same bytes, the same loaded state and the same
+/// [`Loader::finish`] result.
+pub struct PerWord<S>(pub S);
+
+impl<S: StateIo> StateIo for PerWord<S> {
+    fn saving(&self) -> bool {
+        self.0.saving()
+    }
+
+    fn word(&mut self, v: &mut u64) {
+        self.0.word(v);
+    }
+
+    fn admit_len(&mut self, len: u64) -> u64 {
+        self.0.admit_len(len)
+    }
+
+    fn reject(&mut self, why: String) {
+        self.0.reject(why);
     }
 }
 
@@ -658,6 +844,94 @@ mod tests {
         persist_slice(&mut loader, &mut four);
         let err = loader.finish().expect_err("length mismatch is rejected");
         assert!(err.contains("slice length mismatch"), "{err}");
+    }
+
+    /// Loads `bytes` into a `T` and returns the loader's verdict.
+    fn load<T: Persist + Default>(bytes: &[u8]) -> Result<T, String> {
+        let mut v = T::default();
+        let mut loader = Loader::new(bytes);
+        v.persist(&mut loader);
+        loader.finish().map(|()| v)
+    }
+
+    fn words_of(ws: &[u64]) -> Vec<u8> {
+        ws.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// A narrow integer or `bool` loads only words its saver could have
+    /// written; in-range values (sign-extended for `i32`) still load.
+    #[test]
+    fn narrow_words_must_round_trip() {
+        assert!(load::<u8>(&words_of(&[256])).is_err());
+        assert!(load::<u16>(&words_of(&[1 << 16])).is_err());
+        assert!(load::<u32>(&words_of(&[1 << 32])).is_err());
+        assert!(load::<i32>(&words_of(&[1 << 31])).is_err());
+        assert!(load::<bool>(&words_of(&[2])).is_err());
+        assert_eq!(load::<u8>(&words_of(&[255])), Ok(255));
+        assert_eq!(load::<i32>(&words_of(&[u64::MAX])), Ok(-1));
+        assert_eq!(load::<bool>(&words_of(&[1])), Ok(true));
+        let err = load::<u32>(&words_of(&[1 << 32])).unwrap_err();
+        assert!(err.contains("not a valid u32"), "{err}");
+    }
+
+    /// An enum tag at or past the variant count is rejected and reads 0.
+    #[test]
+    fn out_of_range_tags_are_rejected() {
+        let bytes = words_of(&[3]);
+        let mut loader = Loader::new(&bytes);
+        assert_eq!(persist_tag(&mut loader, 0, 3, "demo tag"), 0);
+        let err = loader.finish().unwrap_err();
+        assert!(err.contains("0x3 is not a valid demo tag"), "{err}");
+        let bytes = words_of(&[2]);
+        let mut loader = Loader::new(&bytes);
+        assert_eq!(persist_tag(&mut loader, 0, 3, "demo tag"), 2);
+        loader.finish().expect("in range");
+    }
+
+    /// Saves `words` and `bytes` through the bulk helpers with `io`.
+    fn bulk(io: &mut dyn StateIo, words: &mut [u64], rows: &mut [[u64; 2]], bytes: &mut [u8]) {
+        persist_word_slice(io, words);
+        persist_word_rows(io, rows);
+        persist_byte_slice(io, bytes, 3, |b| b, |b| b);
+    }
+
+    /// The bulk helpers write, digest and load exactly what the
+    /// word-at-a-time path does, for every truncation of the stream.
+    #[test]
+    fn bulk_runs_match_the_per_word_path() {
+        let mut words = [1u64, u64::MAX, 3];
+        let mut rows = [[4u64, 5], [6, 7]];
+        let mut bytes = [0u8, 3, 1, 2];
+        let mut fast = Saver::new();
+        bulk(&mut fast, &mut words, &mut rows, &mut bytes);
+        let mut slow = PerWord(Saver::new());
+        bulk(&mut slow, &mut words, &mut rows, &mut bytes);
+        let image = fast.into_bytes();
+        assert_eq!(image, slow.0.into_bytes());
+        assert_eq!(image.len(), 8 * (1 + 3 + 1 + 4 + 1 + 4));
+        let mut fast = WordDigest::new();
+        bulk(&mut fast, &mut words, &mut rows, &mut bytes);
+        assert_eq!(fast.value(), fnv1a(&image));
+
+        let loaded = |io: &mut dyn StateIo| {
+            let (mut w, mut r, mut b) = ([9u64; 3], [[9u64; 2]; 2], [9u8; 4]);
+            bulk(io, &mut w, &mut r, &mut b);
+            (w, r, b)
+        };
+        for cut in 0..=image.len() {
+            let mut fast = Loader::new(&image[..cut]);
+            let mut slow = PerWord(Loader::new(&image[..cut]));
+            assert_eq!(loaded(&mut fast), loaded(&mut slow), "cut at byte {cut}");
+            assert_eq!(fast.finish(), slow.0.finish(), "cut at byte {cut}");
+        }
+        let mut bad = image.clone();
+        bad[8 * 11..8 * 12].copy_from_slice(&4u64.to_le_bytes());
+        let mut fast = Loader::new(&bad);
+        let mut slow = PerWord(Loader::new(&bad));
+        assert_eq!(loaded(&mut fast), loaded(&mut slow));
+        let err = fast.finish().unwrap_err();
+        assert_eq!(Err(err.clone()), slow.0.finish());
+        assert!(err.contains("0x4 is not a valid byte-sized value"), "{err}");
     }
 
     #[test]

@@ -241,15 +241,15 @@ pub fn build_plan(
 }
 // --- Checkpoint persistence ---
 
-use jas_simkernel::snapshot::{Persist, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 
 impl Persist for RequestKind {
     // Encoded as the stable `index()` position in `ALL`.
     fn persist(&mut self, io: &mut dyn StateIo) {
-        let mut tag = u64::from(self.index());
-        io.word(&mut tag);
+        let count = RequestKind::ALL.len() as u64;
+        let tag = snap::persist_tag(io, u64::from(self.index()), count, "request kind tag");
         if !io.saving() {
-            *self = RequestKind::ALL[(tag as usize).min(RequestKind::ALL.len() - 1)];
+            *self = RequestKind::ALL[tag as usize];
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Pins the `jas2004` binary's exact `KEY=value` stdout lines (every line
-//! matching `^[A-Z0-9_]+=`) in five run modes: a traced faulted run, a
-//! checkpoint and its restore, a crash-planned two-node fleet, and two
-//! registry scenarios (one engine, one autoscaled fleet). Every mode goes
-//! through the binary's one run driver, so a refactor of that driver must
-//! leave these lines byte-identical. Also checks that a single-node
-//! scenario run honours `--host-prof`.
+//! matching `^[A-Z0-9_]+=`) in six run modes: a traced faulted run, a
+//! checkpoint and its restore, a crash-planned two-node fleet, a
+//! three-node fleet whose crash window closes mid-run (with its fleet
+//! table), and two registry scenarios (one engine, one autoscaled fleet).
+//! Every mode goes through the binary's one run driver, so a refactor of
+//! that driver must leave these lines byte-identical. Also checks that a
+//! single-node scenario run honours `--host-prof`.
 
 use std::process::Command;
 
@@ -88,6 +89,65 @@ fn crash_planned_fleet_lines_are_pinned() {
             "CLUSTER_VERDICT=pass lost=0 shed=48 shed_fraction=0.3453",
         ]
     );
+}
+
+/// A three-node fleet whose crash window (3–5 s) closes mid-run: three
+/// crashes, three warm restarts from held images, then no capture can be
+/// read and none is taken. The fleet table (per-node and fleet rows, LB
+/// counters, verdict) and the keyed lines are pinned at threads 1 and 4
+/// under both schedulers, to the values of a build that captured images
+/// for the whole run.
+#[test]
+fn fleet_with_a_closed_crash_window_is_pinned() {
+    let table = [
+        "Fleet (cluster)",
+        "  3 nodes, dispatch round-robin",
+        "    node         cycles   instructions    ipc  hpm digest",
+        "       0        5863660        1015389   0.17  0xd08b04a190a51135",
+        "       1        4946094         846020   0.17  0x913013690a382595",
+        "       2        7223387        1300008   0.18  0x92bb44033b35e5c0",
+        "   fleet       18033141        3161417   0.18  0x175673905cba0423",
+        "      dispatched 114",
+        "     completions 112",
+        "          errors 0",
+        "   crash-errored 0",
+        "    redispatched 1",
+        "            shed 26",
+        "         offered 140",
+        "          cloned 0",
+        "         crashes 3",
+        "        restarts 3",
+        "       ejections 0",
+        "    readmissions 3",
+        "       scale-ups 0",
+        "     scale-downs 0",
+        "  jops 13.2   web p90 0.088s   rmi p90 0.036s   mean failover 2048 ms",
+        "  lost 0   shed 26 (18.6% of offered)   PASS",
+    ];
+    let keyed = [
+        "HPM_DIGEST=0x8a7ec00ad5de7b92",
+        "FAULT_DIGEST=0x002bbf9043d3cab3",
+        "NODE0_HPM_DIGEST=0xd08b04a190a51135",
+        "NODE1_HPM_DIGEST=0x913013690a382595",
+        "NODE2_HPM_DIGEST=0x92bb44033b35e5c0",
+        "CLUSTER_VERDICT=pass lost=0 shed=26 shed_fraction=0.1857",
+    ];
+    for threads in [1, 4] {
+        for sched in ["quantum", "event"] {
+            let out = run(&format!(
+                "--ir 10 --ramp 2 --steady 8 --nodes 3 --figure cluster \
+                 --fault-plan node-crash@3-5:0.3 --threads {threads} --sched {sched}"
+            ));
+            let fleet: Vec<&str> = out
+                .lines()
+                .skip_while(|l| *l != "Fleet (cluster)")
+                .take(table.len())
+                .map(str::trim_end)
+                .collect();
+            assert_eq!(fleet, table, "threads {threads}, {sched}");
+            assert_eq!(keyed_lines(&out), keyed, "threads {threads}, {sched}");
+        }
+    }
 }
 
 #[test]
