@@ -807,12 +807,6 @@ impl<N: ClusterNode> Cluster<N> {
         self.ctl.iter().map(|c| c.inflight.len() as u64).sum()
     }
 
-    /// Redispatches still waiting for their backoff to elapse.
-    #[must_use]
-    pub fn pending_redispatch(&self) -> u64 {
-        self.due_redispatch.values().map(|v| v.len() as u64).sum()
-    }
-
     /// Per-node HPM counter files plus fleet aggregates.
     #[must_use]
     pub fn fleet_hpm(&self) -> FleetHpm {

@@ -1933,12 +1933,6 @@ impl Engine {
         &self.cfg
     }
 
-    /// The run plan in force.
-    #[must_use]
-    pub fn run_plan(&self) -> &RunPlan {
-        &self.run
-    }
-
     /// The machine model.
     #[must_use]
     pub fn machine(&self) -> &Machine {
@@ -2100,15 +2094,6 @@ impl Engine {
         s.heap_high_water = s.heap_high_water.max(self.wakes.high_water());
         s
     }
-
-    /// Fraction of a GC pause spent marking, from the most recent pause
-    /// composition (`None` before the first completed GC).
-    #[must_use]
-    pub fn last_gc_mark_fraction(&self) -> Option<f64> {
-        self.vgc.entries().last().map(|e| {
-            e.mark.as_secs_f64() / (e.mark.as_secs_f64() + e.sweep.as_secs_f64()).max(1e-12)
-        })
-    }
 }
 
 enum StepOutcome {
@@ -2209,6 +2194,27 @@ impl Persist for GcPause {
     }
 }
 
+/// Digests a state walk section by section: a fresh [`WordDigest`] at
+/// every [`StateIo::section`] marker.
+#[derive(Default)]
+struct SectionDigests(Vec<(&'static str, WordDigest)>);
+
+impl StateIo for SectionDigests {
+    fn saving(&self) -> bool {
+        true
+    }
+
+    fn word(&mut self, v: &mut u64) {
+        if let Some((_, d)) = self.0.last_mut() {
+            d.mix(*v);
+        }
+    }
+
+    fn section(&mut self, name: &'static str) {
+        self.0.push((name, WordDigest::new()));
+    }
+}
+
 impl Engine {
     /// Saves or restores every piece of mutable simulation state.
     ///
@@ -2221,39 +2227,56 @@ impl Engine {
     /// that contradicts the configuration (a fixed slice length, the
     /// scenario tag) is rejected through the loader's poison path.
     pub fn persist_state(&mut self, io: &mut dyn StateIo) {
+        io.section("rng");
         self.rng.persist(io);
+        io.section("clock");
         self.clock.persist(io);
         self.next_arrival.0.persist(io);
         self.next_arrival.1.persist(io);
+        io.section("tasks");
         snap::persist_vec(io, &mut self.tasks);
         snap::persist_slice(io, &mut self.ready);
         self.pending_workorders.persist(io);
         snap::persist_opt(io, &mut self.gc);
+        io.section("gens");
         self.jit_backlog_modeled.persist(io);
         for row in &mut self.gens {
             snap::persist_slice(io, row);
         }
+        io.section("bookkeeping");
         self.correlation_seq.persist(io);
         self.outstanding_io.persist(io);
         self.quantum_counter.persist(io);
         snap::persist_opt_with(io, &mut self.steady_base, jas_cpu::CounterFile::new);
+        io.section("hpm");
         self.hpm.persist(io);
+        io.section("tprof");
         self.tprof.persist(io);
+        io.section("vmstat");
         self.vmstat.persist(io);
+        io.section("vgc");
         self.vgc.persist(io);
+        io.section("metrics");
         self.metrics.persist(io);
         self.completed_requests.persist(io);
         self.aborted_requests.persist(io);
         self.frontend_completed.persist(io);
         self.frontend_aborted.persist(io);
+        io.section("faults");
         self.injector.persist(io);
         self.breaker.persist(io);
         self.faultmon.persist(io);
+        io.section("tracer");
         self.tracer.persist(io);
+        io.section("machine");
         self.machine.persist(io);
+        io.section("jvm");
         self.jvm.persist(io);
+        io.section("db");
         self.db.persist(io);
+        io.section("appserver");
         self.appserver.persist(io);
+        io.section("scenario");
         let mut tag = self.scenario.kind_tag();
         io.word(&mut tag);
         if tag != self.scenario.kind_tag() {
@@ -2262,12 +2285,14 @@ impl Engine {
             ));
         }
         self.scenario.persist_state(io);
+        io.section("recorder");
         snap::persist_opt(io, &mut self.recorder);
         // Version 2 tail: the wake heap (canonical live-registration form)
         // and scheduler-occupancy counters. Written under both schedulers
         // so the payload layout is scheduler-independent (the fingerprint
         // normalizes `sched` out); restoring under the event scheduler
         // re-derives any wake-ups a quantum-mode checkpoint lacks.
+        io.section("sched");
         self.wakes.persist(io);
         self.sched_stats.persist(io);
         if !io.saving() && self.sched_event {
@@ -2296,85 +2321,16 @@ impl Engine {
     /// Per-subsystem FNV-1a digests of the mutable state: when two
     /// engines' probe digests differ, this localizes the mismatch to the
     /// subsystem that caused it (the reducer prints the differing
-    /// sections alongside the witness window).
+    /// sections alongside the witness window). The sections are the ones
+    /// [`Engine::persist_state`] marks, in its order.
     pub fn state_section_digests(&mut self) -> Vec<(&'static str, u64)> {
-        let mut out: Vec<(&'static str, u64)> = Vec::new();
-        let mut dg = WordDigest::new();
-        self.rng.persist(&mut dg);
-        out.push(("rng", dg.value()));
-        let mut dg = WordDigest::new();
-        self.clock.persist(&mut dg);
-        self.next_arrival.0.persist(&mut dg);
-        self.next_arrival.1.persist(&mut dg);
-        out.push(("clock", dg.value()));
-        let mut dg = WordDigest::new();
-        snap::persist_vec(&mut dg, &mut self.tasks);
-        snap::persist_slice(&mut dg, &mut self.ready);
-        self.pending_workorders.persist(&mut dg);
-        snap::persist_opt(&mut dg, &mut self.gc);
-        out.push(("tasks", dg.value()));
-        let mut dg = WordDigest::new();
-        self.jit_backlog_modeled.persist(&mut dg);
-        for row in &mut self.gens {
-            snap::persist_slice(&mut dg, row);
-        }
-        out.push(("gens", dg.value()));
-        let mut dg = WordDigest::new();
-        self.correlation_seq.persist(&mut dg);
-        self.outstanding_io.persist(&mut dg);
-        self.quantum_counter.persist(&mut dg);
-        snap::persist_opt_with(&mut dg, &mut self.steady_base, jas_cpu::CounterFile::new);
-        out.push(("bookkeeping", dg.value()));
-        let mut dg = WordDigest::new();
-        self.hpm.persist(&mut dg);
-        out.push(("hpm", dg.value()));
-        let mut dg = WordDigest::new();
-        self.tprof.persist(&mut dg);
-        out.push(("tprof", dg.value()));
-        let mut dg = WordDigest::new();
-        self.vmstat.persist(&mut dg);
-        out.push(("vmstat", dg.value()));
-        let mut dg = WordDigest::new();
-        self.vgc.persist(&mut dg);
-        out.push(("vgc", dg.value()));
-        let mut dg = WordDigest::new();
-        self.metrics.persist(&mut dg);
-        self.completed_requests.persist(&mut dg);
-        self.aborted_requests.persist(&mut dg);
-        self.frontend_completed.persist(&mut dg);
-        self.frontend_aborted.persist(&mut dg);
-        out.push(("metrics", dg.value()));
-        let mut dg = WordDigest::new();
-        self.injector.persist(&mut dg);
-        self.breaker.persist(&mut dg);
-        self.faultmon.persist(&mut dg);
-        out.push(("faults", dg.value()));
-        let mut dg = WordDigest::new();
-        self.tracer.persist(&mut dg);
-        out.push(("tracer", dg.value()));
-        let mut dg = WordDigest::new();
-        self.machine.persist(&mut dg);
-        out.push(("machine", dg.value()));
-        let mut dg = WordDigest::new();
-        self.jvm.persist(&mut dg);
-        out.push(("jvm", dg.value()));
-        let mut dg = WordDigest::new();
-        self.db.persist(&mut dg);
-        out.push(("db", dg.value()));
-        let mut dg = WordDigest::new();
-        self.appserver.persist(&mut dg);
-        out.push(("appserver", dg.value()));
-        let mut dg = WordDigest::new();
-        self.scenario.persist_state(&mut dg);
-        out.push(("scenario", dg.value()));
-        let mut dg = WordDigest::new();
-        snap::persist_opt(&mut dg, &mut self.recorder);
-        out.push(("recorder", dg.value()));
-        let mut dg = WordDigest::new();
-        self.wakes.persist(&mut dg);
-        self.sched_stats.persist(&mut dg);
-        out.push(("sched", dg.value()));
-        out
+        let mut sections = SectionDigests::default();
+        self.persist_state(&mut sections);
+        sections
+            .0
+            .into_iter()
+            .map(|(name, d)| (name, d.value()))
+            .collect()
     }
 
     /// FNV-1a fingerprint of the machine-wide HPM counter totals, the
@@ -2518,13 +2474,17 @@ impl Engine {
 mod tests {
     use super::*;
 
-    fn quick_engine() -> Engine {
+    fn quick_cfg() -> SutConfig {
         let mut cfg = SutConfig::at_ir(10);
         cfg.machine.frequency_hz = 100_000.0;
         // Shrink the heap so GC cycles fit inside the quick run.
         cfg.jvm.heap.capacity = 8 << 20;
         cfg.jvm.live_target = 2 << 20;
-        Engine::new(cfg, RunPlan::quick())
+        cfg
+    }
+
+    fn quick_engine() -> Engine {
+        Engine::new(quick_cfg(), RunPlan::quick())
     }
 
     /// A task-state tag past the last variant fails the load instead of
@@ -2646,6 +2606,76 @@ mod tests {
         }
     }
 
+    /// Counts the words a state walk moves per section marker; words
+    /// before the first marker land in `stray`.
+    #[derive(Default)]
+    struct SectionWalk {
+        stray: u64,
+        sections: Vec<(&'static str, u64)>,
+    }
+
+    impl StateIo for SectionWalk {
+        fn saving(&self) -> bool {
+            true
+        }
+
+        fn word(&mut self, _v: &mut u64) {
+            match self.sections.last_mut() {
+                Some((_, words)) => *words += 1,
+                None => self.stray += 1,
+            }
+        }
+
+        fn section(&mut self, name: &'static str) {
+            self.sections.push((name, 0));
+        }
+    }
+
+    /// `persist_state` opens with a marker, marks the nineteen sections in
+    /// their fixed order, and every saved word falls in one of them; the
+    /// section digests are those sections.
+    #[test]
+    fn state_walk_marks_every_section_in_order() {
+        const SECTIONS: [&str; 19] = [
+            "rng",
+            "clock",
+            "tasks",
+            "gens",
+            "bookkeeping",
+            "hpm",
+            "tprof",
+            "vmstat",
+            "vgc",
+            "metrics",
+            "faults",
+            "tracer",
+            "machine",
+            "jvm",
+            "db",
+            "appserver",
+            "scenario",
+            "recorder",
+            "sched",
+        ];
+        for sched in [SchedMode::Quantum, SchedMode::Event] {
+            let mut cfg = quick_cfg();
+            cfg.sched = sched;
+            let mut e = Engine::new(cfg, RunPlan::quick());
+            e.run_to(SimTime::from_nanos(RunPlan::quick().end().as_nanos() / 2));
+            let mut walk = SectionWalk::default();
+            e.persist_state(&mut walk);
+            assert_eq!(walk.stray, 0, "{sched:?}: words before the first marker");
+            let names: Vec<&str> = walk.sections.iter().map(|(n, _)| *n).collect();
+            assert_eq!(names, SECTIONS, "{sched:?}");
+            let mut saver = jas_simkernel::Saver::new();
+            e.persist_state(&mut saver);
+            let words: u64 = walk.sections.iter().map(|(_, w)| w).sum();
+            assert_eq!(words, saver.into_bytes().len() as u64 / 8, "{sched:?}");
+            let digests: Vec<&str> = e.state_section_digests().iter().map(|(n, _)| *n).collect();
+            assert_eq!(digests, SECTIONS, "{sched:?}");
+        }
+    }
+
     /// The event scheduler must be an exact drop-in: every state section
     /// except its own heap/counters is bit-identical to the quantum
     /// scheduler's at end of run.
@@ -2653,10 +2683,7 @@ mod tests {
     fn event_scheduler_is_bit_identical_on_a_quick_run() {
         let mut quantum = quick_engine();
         quantum.run_to_end();
-        let mut cfg = SutConfig::at_ir(10);
-        cfg.machine.frequency_hz = 100_000.0;
-        cfg.jvm.heap.capacity = 8 << 20;
-        cfg.jvm.live_target = 2 << 20;
+        let mut cfg = quick_cfg();
         cfg.sched = SchedMode::Event;
         let mut event = Engine::new(cfg, RunPlan::quick());
         event.run_to_end();

@@ -85,72 +85,52 @@ impl DivergenceWitness {
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic word, a truncated stream, or a trailer digest
-    /// mismatch.
+    /// Fails on a bad magic word, a stream whose length is not exactly
+    /// what its header declares, or a trailer digest mismatch.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut loader = Loader::new(bytes);
-        let mut read = || {
-            let mut w = 0u64;
-            loader.word(&mut w);
-            w
-        };
-        let magic = read();
+        const HEADER_BYTES: usize = 8 * 8;
+        let mut header = [0u64; 8];
+        // A stream shorter than the header reads as zeros past its end,
+        // which fails the magic or the length check below.
+        Loader::new(bytes).words(&mut header);
+        let [magic, start, end, run_end, digest_a, digest_b, len_a, len_b] = header;
         if magic != WITNESS_MAGIC {
             return Err(format!(
                 "not a witness: magic {magic:#018x} != {WITNESS_MAGIC:#018x}"
             ));
         }
-        let window_start = SimTime::from_nanos(read());
-        let window_end = SimTime::from_nanos(read());
-        let run_end = SimTime::from_nanos(read());
-        let digest_a = read();
-        let digest_b = read();
-        let len_a = read() as usize;
-        let len_b = read() as usize;
-        if !len_a.is_multiple_of(8)
-            || !len_b.is_multiple_of(8)
-            || bytes.len() < 9 * 8 + len_a + len_b
-        {
-            return Err("witness is truncated".into());
+        // Checked throughout: forged length words must not wrap the sum.
+        let body_len = |len: u64| usize::try_from(len).ok().filter(|l| l.is_multiple_of(8));
+        let expected = body_len(len_a)
+            .zip(body_len(len_b))
+            .and_then(|(a, b)| a.checked_add(b))
+            .and_then(|n| n.checked_add(HEADER_BYTES + 8));
+        if expected != Some(bytes.len()) {
+            return Err(format!(
+                "witness is truncated or malformed: {} bytes, header declares \
+                 checkpoints of {len_a} and {len_b} bytes",
+                bytes.len()
+            ));
         }
-        let mut blob = |len: usize| {
-            let mut out = Vec::with_capacity(len);
-            for _ in 0..len / 8 {
-                let mut w = 0u64;
-                loader.word(&mut w);
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out
-        };
-        let ckpt_a = blob(len_a);
-        let ckpt_b = blob(len_b);
-        let trailer = {
-            let mut w = 0u64;
-            loader.word(&mut w);
-            w
-        };
-        loader.finish()?;
-        let witness = DivergenceWitness {
-            window_start,
-            window_end,
-            run_end,
-            digest_a,
-            digest_b,
-            ckpt_a,
-            ckpt_b,
-        };
-        // Recompute the trailer over the re-serialized body: the body
-        // round-trips exactly, so the digests match iff the stream was
-        // intact.
-        let reserialized = witness.to_bytes();
-        let computed = fnv1a(&reserialized[..reserialized.len() - 8]);
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        let (ckpt_a, ckpt_b) = body[HEADER_BYTES..].split_at(len_a as usize);
+        let trailer = u64::from_le_bytes(trailer.try_into().expect("split 8 bytes off the end"));
+        let computed = fnv1a(body);
         if computed != trailer {
             return Err(format!(
                 "witness is corrupt: trailer digest {trailer:#018x} != \
                  computed {computed:#018x}"
             ));
         }
-        Ok(witness)
+        Ok(DivergenceWitness {
+            window_start: SimTime::from_nanos(start),
+            window_end: SimTime::from_nanos(end),
+            run_end: SimTime::from_nanos(run_end),
+            digest_a,
+            digest_b,
+            ckpt_a: ckpt_a.to_vec(),
+            ckpt_b: ckpt_b.to_vec(),
+        })
     }
 
     /// Re-runs just the reduced window from both checkpoints and checks
@@ -363,5 +343,54 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[0] ^= 0xFF;
         assert!(DivergenceWitness::from_bytes(&corrupt).is_err());
+    }
+
+    /// A real witness: both checkpoints taken from a quick run mid-way.
+    fn small_witness() -> DivergenceWitness {
+        let plan = RunPlan::quick();
+        let mut engine = Engine::new(quick_cfg(), plan);
+        let start = SimTime::from_nanos(plan.end().as_nanos() / 4);
+        engine.run_to(start);
+        let ckpt_a = checkpoint_bytes(&mut engine);
+        engine.run_to(start + SimDuration::from_millis(1));
+        let ckpt_b = checkpoint_bytes(&mut engine);
+        DivergenceWitness {
+            window_start: start,
+            window_end: start + SimDuration::from_millis(1),
+            run_end: plan.end(),
+            digest_a: 1,
+            digest_b: 2,
+            ckpt_a,
+            ckpt_b,
+        }
+    }
+
+    #[test]
+    fn every_proper_prefix_of_a_witness_is_rejected() {
+        let witness = small_witness();
+        let bytes = witness.to_bytes();
+        assert_eq!(DivergenceWitness::from_bytes(&bytes), Ok(witness));
+        for cut in 0..bytes.len() {
+            assert!(
+                DivergenceWitness::from_bytes(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix of {} loaded",
+                bytes.len()
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.extend_from_slice(&[0; 8]);
+        assert!(DivergenceWitness::from_bytes(&longer).is_err());
+    }
+
+    /// Length words whose sum would wrap `usize` are rejected before
+    /// anything is copied or allocated.
+    #[test]
+    fn wrapping_checkpoint_lengths_are_rejected() {
+        let words = [WITNESS_MAGIC, 0, 1, 2, 3, 4, 1 << 63, 1 << 63];
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let trailer = fnv1a(&bytes);
+        bytes.extend_from_slice(&trailer.to_le_bytes());
+        let err = DivergenceWitness::from_bytes(&bytes).expect_err("forged lengths");
+        assert!(err.contains("truncated or malformed"), "{err}");
     }
 }

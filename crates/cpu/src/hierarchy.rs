@@ -337,12 +337,6 @@ impl MemorySystem {
         self.last_store = None;
     }
 
-    /// `true` when `chip`'s L2 currently holds the line of `addr`.
-    #[must_use]
-    pub fn l2_holds(&self, chip: usize, addr: u64) -> bool {
-        self.l2s[chip].probe(self.l2_line(addr)).is_some()
-    }
-
     fn fill_l2(&mut self, chip: usize, line: u64, state: Mesi) -> usize {
         let (slot, victim) = self.l2s[chip].insert_at(line, state);
         if let Some((victim_line, victim_state)) = victim {

@@ -209,12 +209,6 @@ impl SimHeap {
         }
     }
 
-    /// Count of live young-generation objects.
-    #[must_use]
-    pub fn young_objects(&self) -> u64 {
-        self.slots.iter().filter(|s| s.allocated && s.young).count() as u64
-    }
-
     /// Bytes currently held by live-or-unswept objects.
     #[must_use]
     pub fn live_bytes(&self) -> u64 {

@@ -142,11 +142,6 @@ impl Jvm {
         &self.jit
     }
 
-    /// The monitor table (mutable; the workload drives lock acquisition).
-    pub fn monitors_mut(&mut self) -> &mut MonitorTable {
-        &mut self.monitors
-    }
-
     /// Lock statistics so far.
     #[must_use]
     pub fn monitors_stats(&self) -> crate::locks::LockStats {

@@ -16,14 +16,15 @@
 //!   coverage, parallel-phase write discipline, counter digest coverage,
 //!   and wake registration for idle-predicate state.
 //!
-//! The tool is entirely self-contained — hand-rolled lexer, parser,
-//! TOML-subset config parser, JSON/SARIF writers, cache format — so the
-//! workspace's offline-build guarantee (no crates.io access) is preserved.
+//! The tool is self-contained — hand-rolled lexer, parser and JSON/SARIF
+//! writers; `lint.toml` is read with the workspace's one TOML-subset
+//! parser (`jas-toml`), its only dependency — so the workspace's
+//! offline-build guarantee (no crates.io access) is preserved and the
+//! linter never builds a simulation crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod config;
 pub mod findings;
 pub mod lexer;
@@ -39,30 +40,13 @@ use config::{Config, Severity};
 use findings::Finding;
 use std::path::Path;
 
-/// Bumped whenever lexing, parsing, or any rule changes behaviour, so
-/// stale cache entries from an older binary can never leak findings.
-pub const RULES_REV: u32 = 3;
-
-/// A token-rule hit with an owned rule id, so analyses round-trip through
-/// the [`cache`] without needing the `'static` rule table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TokenHit {
-    /// Rule identifier (`D001`…).
-    pub rule: String,
-    /// 1-based line of the match.
-    pub line: u32,
-    /// Human-readable description.
-    pub message: String,
-}
-
-/// Everything the per-file pass extracts from one source file. This is
-/// the unit of caching: it depends only on the file's bytes (plus
-/// [`RULES_REV`]), never on the config or on other files, so severity
-/// filtering and the cross-file semantic pass run on top of it each time.
-#[derive(Clone, Debug, Default)]
+/// Everything the per-file pass extracts from one source file. It
+/// depends only on the file's bytes, never on the config or on other
+/// files; severity filtering and the cross-file semantic pass run on top.
+#[derive(Debug)]
 pub struct Analysis {
     /// Raw token-rule hits, unfiltered.
-    pub hits: Vec<TokenHit>,
+    pub hits: Vec<rules::RuleHit>,
     /// Test-gated line spans (findings inside are dropped).
     pub spans: Vec<scan::Span>,
     /// Inline suppressions and malformed directives.
@@ -77,14 +61,7 @@ pub struct Analysis {
 pub fn analyze(src: &str) -> Analysis {
     let lexed = lexer::lex(src);
     Analysis {
-        hits: rules::check(&lexed)
-            .into_iter()
-            .map(|h| TokenHit {
-                rule: h.rule.to_string(),
-                line: h.line,
-                message: h.message,
-            })
-            .collect(),
+        hits: rules::check(&lexed),
         spans: scan::test_spans(&lexed),
         sup: suppress::scan(&lexed.comments),
         ast: parser::parse(&lexed),
@@ -125,7 +102,7 @@ fn emit(
 /// malformed suppressions.
 fn emit_file_local(cfg: &Config, a: &Analysis, rel: &str, out: &mut Vec<Finding>) {
     for hit in &a.hits {
-        emit(cfg, a, rel, &hit.rule, hit.line, &hit.message, out);
+        emit(cfg, a, rel, hit.rule, hit.line, &hit.message, out);
     }
     // A malformed `jas-lint:` directive is itself a deny finding: the only
     // valid suppression is one that names rules and states a reason.
@@ -176,10 +153,9 @@ pub fn lint_source(cfg: &Config, rel: &str, src: &str) -> Vec<Finding> {
 
 /// Lints every `.rs` file under the configured roots, resolved against
 /// `base`. Unreadable files are reported as deny findings rather than
-/// silently skipped. When `cache_dir` is given, per-file analyses are
-/// loaded from / stored to it keyed by content hash (see [`cache`]).
+/// silently skipped.
 #[must_use]
-pub fn lint_tree_cached(cfg: &Config, base: &Path, cache_dir: Option<&Path>) -> Vec<Finding> {
+pub fn lint_tree(cfg: &Config, base: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut files: Vec<(String, Analysis)> = Vec::new();
     for root in &cfg.roots {
@@ -187,13 +163,7 @@ pub fn lint_tree_cached(cfg: &Config, base: &Path, cache_dir: Option<&Path>) -> 
         for file in scan::collect_files(base, &root_path, &cfg.exclude) {
             let rel = scan::rel_path(base, &file);
             match std::fs::read_to_string(&file) {
-                Ok(src) => {
-                    let a = match cache_dir {
-                        Some(dir) => cache::load_or_analyze(dir, &rel, &src),
-                        None => analyze(&src),
-                    };
-                    files.push((rel, a));
-                }
+                Ok(src) => files.push((rel, analyze(&src))),
                 Err(e) => out.push(Finding {
                     rule: "S001".to_string(),
                     path: rel,
@@ -210,12 +180,6 @@ pub fn lint_tree_cached(cfg: &Config, base: &Path, cache_dir: Option<&Path>) -> 
     emit_semantic(cfg, &files, &mut out);
     findings::sort(&mut out);
     out
-}
-
-/// [`lint_tree_cached`] without a cache.
-#[must_use]
-pub fn lint_tree(cfg: &Config, base: &Path) -> Vec<Finding> {
-    lint_tree_cached(cfg, base, None)
 }
 
 /// True when `findings` should fail a `--deny` run.

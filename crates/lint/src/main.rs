@@ -4,7 +4,7 @@
 //! cargo run -p jas-lint                  # report all findings, exit 0
 //! cargo run -p jas-lint -- --deny        # exit 2 on any deny finding (CI)
 //! cargo run -p jas-lint -- --json        # machine-readable output
-//! cargo run -p jas-lint -- --sarif out.sarif --cache-dir target/jas-lint-cache
+//! cargo run -p jas-lint -- --sarif out.sarif
 //! cargo run -p jas-lint -- --root DIR --config FILE
 //! ```
 //!
@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use jas_lint::config::Config;
-use jas_lint::{findings, has_deny, lint_tree_cached, sarif};
+use jas_lint::{findings, has_deny, lint_tree, sarif};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -22,13 +22,12 @@ const USAGE: &str = "\
 jas-lint — workspace determinism & invariant static analysis
 
 USAGE:
-    jas-lint [--deny] [--json] [--sarif FILE] [--cache-dir DIR] [--root DIR] [--config FILE]
+    jas-lint [--deny] [--json] [--sarif FILE] [--root DIR] [--config FILE]
 
 OPTIONS:
     --deny           exit with status 2 when any deny-severity finding exists
     --json           print findings as a JSON array instead of text
     --sarif FILE     additionally write findings as SARIF 2.1.0 to FILE
-    --cache-dir DIR  reuse per-file analyses across runs, keyed by content hash
     --root DIR       scan base directory (default: current directory)
     --config FILE    config path (default: <root>/lint.toml; missing = defaults)
     --help           print this help
@@ -38,7 +37,6 @@ struct Options {
     deny: bool,
     json: bool,
     sarif: Option<PathBuf>,
-    cache_dir: Option<PathBuf>,
     root: PathBuf,
     config: Option<PathBuf>,
 }
@@ -48,7 +46,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         deny: false,
         json: false,
         sarif: None,
-        cache_dir: None,
         root: PathBuf::from("."),
         config: None,
     };
@@ -64,7 +61,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--deny" => o.deny = true,
             "--json" => o.json = true,
             "--sarif" => o.sarif = Some(path_arg(args, &mut i, "--sarif")?),
-            "--cache-dir" => o.cache_dir = Some(path_arg(args, &mut i, "--cache-dir")?),
             "--root" => o.root = path_arg(args, &mut i, "--root")?,
             "--config" => o.config = Some(path_arg(args, &mut i, "--config")?),
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -111,7 +107,7 @@ fn main() -> ExitCode {
         Config::default()
     };
 
-    let results = lint_tree_cached(&cfg, &opts.root, opts.cache_dir.as_deref());
+    let results = lint_tree(&cfg, &opts.root);
     if let Some(path) = &opts.sarif {
         if let Err(e) = std::fs::write(path, sarif::to_sarif(&results)) {
             eprintln!("jas-lint: cannot write {}: {e}", path.display());

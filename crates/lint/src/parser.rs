@@ -9,9 +9,8 @@
 //! targets, `self.<field>` reads and mutations). Everything it does not
 //! understand it skips over by bracket matching, so an exotic construct
 //! degrades to "no facts extracted", never to a wrong parse of the rest of
-//! the file. Bodies are summarized instead of kept as trees so the whole
-//! per-file result is small enough to serialize into the incremental cache
-//! ([`crate::cache`]).
+//! the file. Bodies are summarized instead of kept as trees, so the
+//! cross-file symbol table stays small.
 
 use crate::lexer::{Lexed, TokKind, Token};
 

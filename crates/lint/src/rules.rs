@@ -30,15 +30,9 @@ pub struct RuleHit {
     pub message: String,
 }
 
-/// All rule identifiers, in order: token rules (this module), semantic
-/// rules ([`crate::rules_semantic`]), and the meta rules the driver
-/// raises itself.
-pub const ALL_RULES: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D010", "D011", "D012",
-    "D013", "S000", "S001",
-];
-
-/// One-line description per rule id, for `--sarif` rule metadata and docs.
+/// One-line description per rule id, in order: token rules (this module),
+/// semantic rules ([`crate::rules_semantic`]), and the meta rules the
+/// driver raises itself. Feeds the `--sarif` rule metadata.
 pub const RULE_SUMMARIES: &[(&str, &str)] = &[
     ("D001", "unordered HashMap/HashSet in simulation code"),
     ("D002", "wall-clock or OS-entropy read in simulation code"),
@@ -74,15 +68,6 @@ pub const RULE_SUMMARIES: &[(&str, &str)] = &[
     ("S000", "malformed jas-lint suppression directive"),
     ("S001", "unreadable source file"),
 ];
-
-/// The one-line summary for `rule`, if known.
-#[must_use]
-pub fn summary_of(rule: &str) -> Option<&'static str> {
-    RULE_SUMMARIES
-        .iter()
-        .find(|(id, _)| *id == rule)
-        .map(|(_, s)| *s)
-}
 
 /// Runs every rule over one lexed file.
 #[must_use]

@@ -82,12 +82,6 @@ impl Workspace {
         }
     }
 
-    /// All functions named `name`, anywhere in the workspace.
-    #[must_use]
-    pub fn fns_named(&self, name: &str) -> Vec<(&str, &FnDef)> {
-        self.fns().filter(|(_, f)| f.name == name).collect()
-    }
-
     /// Inherent-impl functions of type `type_name` named `fn_name`.
     #[must_use]
     pub fn inherent_fns(&self, type_name: &str, fn_name: &str) -> Vec<(&str, &FnDef)> {

@@ -1,11 +1,11 @@
 //! Integration: run jas-lint over the fixture tree (one known violation
 //! per rule plus suppression and negative-control files) and assert the
 //! exact findings, their JSON/SARIF renderings, the binary's `--deny`
-//! exit codes, output determinism, the cache, and the full-tree timing
-//! budget.
+//! exit codes, output determinism, the committed `lint.toml`, and the
+//! full-tree timing budget.
 
 use jas_lint::config::{Config, Severity};
-use jas_lint::{findings, has_deny, lint_tree, lint_tree_cached, sarif};
+use jas_lint::{findings, has_deny, lint_tree, sarif};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -29,6 +29,20 @@ fn repo_config() -> Config {
 
 fn fixture_findings() -> Vec<findings::Finding> {
     lint_tree(&Config::default(), &fixture_base())
+}
+
+/// `Config`'s `Debug` rendering of the committed `lint.toml`, pinned so a
+/// change to the shared TOML parser cannot change how the config reads.
+const REPO_CONFIG_DEBUG: &str = "Config { roots: [\"crates\"], exclude: [\"crates/lint/tests\"], \
+rules: {\"D002\": RuleCfg { severity: Deny, only: [], exempt: [\"crates/simkernel/src/rng.rs\", \
+\"crates/trace/src/hostprof.rs\"], per_crate: {} }, \"D003\": RuleCfg { severity: Deny, \
+only: [\"crates/cpu\", \"crates/hpm\"], exempt: [], per_crate: {} }, \"D006\": RuleCfg { \
+severity: Deny, only: [], exempt: [], per_crate: {} }, \"D013\": RuleCfg { severity: Deny, \
+only: [\"crates/cluster\", \"crates/appserver\"], exempt: [], per_crate: {} }} }";
+
+#[test]
+fn committed_config_parses_to_the_pinned_config() {
+    assert_eq!(format!("{:?}", repo_config()), REPO_CONFIG_DEBUG);
 }
 
 #[test]
@@ -225,42 +239,25 @@ fn two_runs_are_byte_identical() {
 }
 
 #[test]
-fn cache_round_trip_changes_nothing() {
-    let cfg = Config::default();
-    let dir = std::env::temp_dir().join(format!("jas-lint-itest-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let uncached = lint_tree(&cfg, &fixture_base());
-    let cold = lint_tree_cached(&cfg, &fixture_base(), Some(&dir));
-    let warm = lint_tree_cached(&cfg, &fixture_base(), Some(&dir));
-    assert_eq!(findings::to_json(&uncached), findings::to_json(&cold));
-    assert_eq!(findings::to_json(&cold), findings::to_json(&warm));
-    assert!(dir.read_dir().map(|d| d.count() > 0).unwrap_or(false));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn binary_writes_sarif_and_reuses_cache() {
+fn binary_writes_identical_sarif_on_two_runs() {
     let tmp = std::env::temp_dir().join(format!("jas-lint-itest-sarif-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("temp dir");
     let sarif_a = tmp.join("a.sarif");
     let sarif_b = tmp.join("b.sarif");
-    let cache = tmp.join("cache");
-    for (out, label) in [(&sarif_a, "cold"), (&sarif_b, "warm")] {
+    for (out, label) in [(&sarif_a, "first"), (&sarif_b, "second")] {
         let status = Command::new(env!("CARGO_BIN_EXE_jas-lint"))
             .args(["--sarif"])
             .arg(out)
-            .arg("--cache-dir")
-            .arg(&cache)
             .arg("--root")
             .arg(fixture_base())
             .status()
             .expect("jas-lint binary runs");
         assert_eq!(status.code(), Some(0), "{label} run exits 0 without --deny");
     }
-    let a = std::fs::read_to_string(&sarif_a).expect("cold SARIF written");
-    let b = std::fs::read_to_string(&sarif_b).expect("warm SARIF written");
-    assert_eq!(a, b, "cached re-run is byte-identical");
+    let a = std::fs::read_to_string(&sarif_a).expect("first SARIF written");
+    let b = std::fs::read_to_string(&sarif_b).expect("second SARIF written");
+    assert_eq!(a, b, "a re-run is byte-identical");
     let _ = std::fs::remove_dir_all(&tmp);
 }
 

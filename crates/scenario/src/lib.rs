@@ -13,7 +13,7 @@
 //! - an **SLO** the run is judged against (`SCENARIO_VERDICT`).
 //!
 //! Specs are written in the same zero-dependency TOML subset `lint.toml`
-//! uses ([`toml`]). Each spec may pin its own `SCENARIO_DIGEST` — FNV-1a
+//! uses ([`jas_toml`]). Each spec may pin its own `SCENARIO_DIGEST` — FNV-1a
 //! over the canonicalized spec ([`ScenarioSpec::canonical_text`]) — and
 //! parsing fails on a mismatch, so stored scenarios cannot drift
 //! silently. `scenario-validate` lints a set of spec files the way
@@ -21,8 +21,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod toml;
 
 mod spec;
 

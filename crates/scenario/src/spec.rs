@@ -9,9 +9,9 @@
 //! formatting changes never move the digest but any semantic change
 //! does.
 
-use crate::toml::{Doc, Value};
 use jas_cluster::{AutoscaleConfig, DispatchPolicy};
 use jas_faults::FaultPlan;
+use jas_toml::{Doc, Value};
 use jas_trace::TraceSpec;
 use jas_workload::Curve;
 

@@ -2,9 +2,9 @@
 //!
 //! Each distribution is a small value type with a `sample(&mut Rng)` method.
 //! Request inter-arrival times are exponential (the SPECjAppServer driver is
-//! an open Poisson-like source at a fixed injection rate), service-time
-//! jitter is lognormal, and data references follow Zipf-like popularity —
-//! the standard choices for transaction-processing models.
+//! an open Poisson-like source at a fixed injection rate) and data
+//! references follow Zipf-like popularity — the standard choices for
+//! transaction-processing models.
 
 use crate::Rng;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -48,45 +48,6 @@ impl Exponential {
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         // Inverse CDF; (1 - u) avoids ln(0).
         -(1.0 - rng.next_f64()).ln() / self.lambda
-    }
-}
-
-/// Lognormal distribution parameterized by the mean and coefficient of
-/// variation of the *resulting* distribution (more convenient for service
-/// times than mu/sigma of the underlying normal).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Lognormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl Lognormal {
-    /// Creates a lognormal with the given mean and coefficient of variation
-    /// (`cv = stddev / mean`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean <= 0` or `cv < 0`, or either is non-finite.
-    #[must_use]
-    pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "mean must be positive, got {mean}"
-        );
-        assert!(
-            cv.is_finite() && cv >= 0.0,
-            "cv must be non-negative, got {cv}"
-        );
-        let sigma2 = (1.0 + cv * cv).ln();
-        Lognormal {
-            mu: mean.ln() - sigma2 / 2.0,
-            sigma: sigma2.sqrt(),
-        }
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        (self.mu + self.sigma * sample_standard_normal(rng)).exp()
     }
 }
 
@@ -289,40 +250,6 @@ impl Zipf {
     }
 }
 
-/// Bounded Pareto distribution (heavy-tailed sizes such as response bodies).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BoundedPareto {
-    lo: f64,
-    hi: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto on `[lo, hi]` with shape `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo <= 0`, `hi <= lo`, or `alpha <= 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, alpha: f64) -> Self {
-        assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi, got [{lo}, {hi}]");
-        assert!(
-            alpha.is_finite() && alpha > 0.0,
-            "alpha must be positive, got {alpha}"
-        );
-        BoundedPareto { lo, hi, alpha }
-    }
-
-    /// Draws one sample in `[lo, hi]`.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        let u = rng.next_f64();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
-        // Inverse CDF of the bounded Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,18 +271,6 @@ mod tests {
     #[should_panic(expected = "lambda must be positive")]
     fn exponential_rejects_zero_rate() {
         let _ = Exponential::new(0.0);
-    }
-
-    #[test]
-    fn lognormal_mean_and_cv_converge() {
-        let ln = Lognormal::from_mean_cv(2.0, 0.5);
-        let mut rng = Rng::new(2);
-        let xs: Vec<f64> = (0..200_000).map(|_| ln.sample(&mut rng)).collect();
-        let m = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-        let cv = var.sqrt() / m;
-        assert!((m - 2.0).abs() < 0.05, "mean {m}");
-        assert!((cv - 0.5).abs() < 0.05, "cv {cv}");
     }
 
     #[test]
@@ -394,16 +309,6 @@ mod tests {
         }
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "count {c}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let p = BoundedPareto::new(1.0, 100.0, 1.2);
-        let mut rng = Rng::new(6);
-        for _ in 0..10_000 {
-            let x = p.sample(&mut rng);
-            assert!((1.0..=100.0).contains(&x), "sample {x}");
         }
     }
 

@@ -1,22 +1,21 @@
 //! Discrete-event simulation kernel used by every layer of the `jas2004`
 //! full-system simulator.
 //!
-//! The kernel provides six things and nothing else:
+//! The kernel provides five things and nothing else:
 //!
 //! * **Simulated time** ([`SimTime`], [`SimDuration`]) — nanosecond-resolution
 //!   newtypes so wall-clock and simulated time can never be confused.
-//! * **An event queue** ([`EventQueue`], [`Scheduler`]) — a monotonic
-//!   priority queue of closures with deterministic FIFO tie-breaking.
 //! * **A wake-up heap** ([`WakeHeap`]) — the event-driven engine scheduler's
 //!   deterministic min-heap of `(tick, component, seq)` wake-ups, with lazy
 //!   invalidation and a canonical checkpoint form.
 //! * **Deterministic randomness** ([`Rng`]) and the distributions the
 //!   workload model needs ([`dist`]).
-//! * **Time-series recording** ([`SeriesRecorder`]) — fixed-interval sampling
-//!   used by the measurement tools to mimic `hpmstat`-style output.
 //! * **Deterministic containers** ([`DetMap`], [`DetSet`]) — key-ordered
 //!   replacements for `HashMap`/`HashSet` in simulation state, so iteration
 //!   order can never leak into counters (lint rule D001).
+//! * **State snapshots** ([`snapshot`]: [`Persist`], [`StateIo`], [`Saver`],
+//!   [`Loader`]) — one visitor walks every piece of live state to save,
+//!   load or digest it.
 //!
 //! Everything is single-threaded and bit-reproducible: the same seed and
 //! configuration always produce the same simulation, which is what lets the
@@ -25,16 +24,15 @@
 //! # Example
 //!
 //! ```
-//! use jas_simkernel::{Scheduler, SimTime, SimDuration};
+//! use jas_simkernel::WakeHeap;
 //!
-//! let mut sched = Scheduler::new();
-//! sched.schedule(SimTime::ZERO + SimDuration::from_millis(5), |s| {
-//!     // events may schedule further events
-//!     let now = s.now();
-//!     s.schedule(now + SimDuration::from_millis(5), |_| {});
-//! });
-//! sched.run_until(SimTime::from_secs(1));
-//! assert_eq!(sched.now(), SimTime::from_secs(1));
+//! let mut wakes = WakeHeap::new();
+//! wakes.register(2, 40); // component 2 wakes at quantum 40
+//! wakes.register(1, 40); // ties break on the component id
+//! wakes.register(2, 10); // a re-registration supersedes the old tick
+//! assert_eq!(wakes.next_wake(), Some(10));
+//! assert_eq!(wakes.take_due(39), 1);
+//! assert_eq!(wakes.next_wake(), Some(40));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,19 +40,15 @@
 
 mod det;
 pub mod dist;
-mod event;
 #[cfg(test)]
 mod proptests;
 mod rng;
-mod series;
 pub mod snapshot;
 mod time;
 mod wake;
 
 pub use det::{DetMap, DetSet};
-pub use event::{EventQueue, Scheduler};
 pub use rng::Rng;
-pub use series::{SeriesRecorder, SeriesSample};
 pub use snapshot::{Loader, Persist, Saver, StateIo};
 pub use time::{SimDuration, SimTime};
 pub use wake::{ComponentId, WakeHeap};

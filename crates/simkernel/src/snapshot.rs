@@ -74,6 +74,11 @@ pub trait StateIo {
     /// `why`, so [`Loader::finish`] returns it as an error; savers only
     /// ever visit their own values, so they cannot disagree and ignore it.
     fn reject(&mut self, _why: String) {}
+
+    /// Marks the start of the named section of a state walk (the engine
+    /// marks one per subsystem). Moves no word; only a visitor that digests
+    /// section by section listens.
+    fn section(&mut self, _name: &'static str) {}
 }
 
 /// Accepts a loaded word when `valid`; otherwise rejects it through

@@ -1,12 +1,16 @@
-//! The TOML subset scenario specs are written in — the same hand-rolled,
-//! zero-dependency machinery `lint.toml` uses, extended with numbers and
-//! number arrays.
+//! The TOML subset that scenario specs and `lint.toml` are written in:
+//! one hand-rolled, zero-dependency parser, so the workspace stays
+//! offline-buildable and `jas-lint` can read its config without
+//! depending on any simulation crate.
 //!
 //! Supported constructs: `[dotted.section]` headers, `key = value` pairs
 //! where a value is a quoted string, a finite number, or a single-line
 //! array of all-strings or all-numbers, and `#` comments (quote-aware).
 //! Anything else is a hard error with a `line N:` prefix — a spec is a
 //! pinned artifact, so rejecting beats silently ignoring half of it.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 /// One parsed value.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,6 +76,14 @@ impl Value {
         match self {
             Value::Nums(ns) => Ok(ns),
             other => Err(format!("expected an array of numbers, found {other:?}")),
+        }
+    }
+
+    /// The string-array payload.
+    pub fn into_strs(self) -> Result<Vec<String>, String> {
+        match self {
+            Value::Strs(ss) => Ok(ss),
+            other => Err(format!("expected an array of strings, found {other:?}")),
         }
     }
 }
